@@ -14,15 +14,25 @@ logical blocks; each crossbar's free-block table tracks valid rows.  For
 simulation speed the manager keeps the block occupancy in vectorised per-core
 counters plus O(1) running totals (free/healthy block counts are maintained
 incrementally, never recomputed by scanning the core arrays), and the ring
-selection of admission cores is a handful of vectorised index operations; the
-page tables are materialised exactly (they are cheap and the fault-tolerance
-path needs them).
+selection of admission cores is a handful of vectorised index operations.
+Each resident sequence keeps its ring selection as one placement array; the
+per-block page tables are exact views built from those arrays on lookup
+(:class:`~repro.kvcache.pagetable.PlacementPageTables`), so admission and
+release never touch per-block tables.
+
+Token growth is split by what it costs.  Most growth stays inside the
+sequence's last logical block and only counts tokens; the serving engine asks
+:meth:`DistributedKVCacheManager.growth_events` once per epoch which
+sequences cross a block boundary, sends only those through
+:meth:`~DistributedKVCacheManager.append_tokens`, and records the rest with
+one :meth:`~DistributedKVCacheManager.commit_tokens` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -32,7 +42,23 @@ from ..errors import ConfigurationError, KVCacheError
 from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
 from .blocks import tokens_per_block
-from .pagetable import PageTable
+from .pagetable import PlacementPageTables
+
+
+def _windows(doubled: npt.NDArray[Any], width: int) -> npt.NDArray[Any]:
+    """``[row, start]`` -> ``doubled[row, start:start + width]``, without a copy.
+
+    Built directly as a strided view rather than through
+    ``numpy.lib.stride_tricks``, whose import would cost every cold build
+    tens of milliseconds.
+    """
+    row_stride, item = doubled.strides
+    return np.ndarray(
+        shape=(doubled.shape[0], doubled.shape[1] - width + 1, width),
+        dtype=doubled.dtype,
+        buffer=doubled,
+        strides=(row_stride, item, item),
+    )
 
 
 @dataclass
@@ -73,10 +99,31 @@ class _SequenceAllocation:
     unique_counts: npt.NDArray[np.int64]
     blocks_per_slot: int
     tokens: int
+    #: global core id of every (transformer block, K/V, head) slot: one row
+    #: per block and group (K row, then V row), one column per KV head --
+    #: the source of the page-table views
+    placement: npt.NDArray[np.int64]
+    #: slots summed over the touched cores
+    total_slots: int = field(init=False)
+    #: most slots on one touched core
+    max_slots: int = field(init=False)
+    #: the slots every touched core holds when that is one number for all of
+    #: them (the usual case: one slot per core), else 0
+    slots_per_core: int = field(init=False)
 
-    @property
-    def total_slots(self) -> int:
-        return int(self.unique_counts.sum())
+    def __post_init__(self) -> None:
+        counts = self.unique_counts
+        self.total_slots = int(counts.sum())
+        low, self.max_slots = (
+            (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
+        )
+        self.slots_per_core = self.max_slots if low == self.max_slots else 0
+
+    def per_core(self, blocks_per_slot: int) -> npt.NDArray[np.int64] | int:
+        """Blocks on each touched core for ``blocks_per_slot`` blocks a slot."""
+        if self.slots_per_core:
+            return self.slots_per_core * blocks_per_slot
+        return self.unique_counts * blocks_per_slot
 
 
 class DistributedKVCacheManager:
@@ -123,6 +170,10 @@ class DistributedKVCacheManager:
         #: O(1) running totals (kept in sync by every allocation mutation)
         self._free_total = num_cores * blocks_per_core
         self._free_on_failed = 0
+        #: a lower bound on every core's free blocks, lowered by each
+        #: reservation and re-measured only when a growth needs more: while it
+        #: covers a growth, no touched core can be short of blocks
+        self._free_floor = blocks_per_core
         self._threshold_blocks = int(self.threshold * blocks_per_core)
         self._block_bytes = self.tokens_per_block * arch.head_dim * self.element_bytes
 
@@ -131,7 +182,6 @@ class DistributedKVCacheManager:
         # its weight cores when the mapper interleaves them.
         self._k_groups: list[list[int]] = []
         self._v_groups: list[list[int]] = []
-        self._ring_pointers: list[int] = []
         groups = 2 * arch.num_blocks
         per_group = max(1, num_cores // groups)
         for block in range(arch.num_blocks):
@@ -145,37 +195,43 @@ class DistributedKVCacheManager:
                 v_group = [v_start % num_cores]
             self._k_groups.append(k_group)
             self._v_groups.append(v_group)
-            self._ring_pointers.append(0)
-        self.page_tables = [PageTable(block_index=b) for b in range(arch.num_blocks)]
+        #: per-block ring pointer into the K/V groups, advanced by ``kv_heads``
+        #: modulo the group size on every admission
+        self._ring_pointers = np.zeros(arch.num_blocks, dtype=np.int64)
 
-        # Vectorised admission state: all (K, V) groups interleaved in block
-        # order, as one flat index array plus reduceat offsets, and -- when
-        # every group has the same size -- stacked 2D matrices that let one
-        # fancy-index pick the ring cores of every block at once.
-        self._group_arrays = [
-            np.asarray(group, dtype=np.int64)
-            for pair in zip(self._k_groups, self._v_groups)
-            for group in pair
-        ]
-        self._group_concat = np.concatenate(self._group_arrays)
-        sizes = [len(group) for group in self._group_arrays]
-        self._group_offsets = np.cumsum([0] + sizes[:-1])
+        # Vectorised admission state.  Every group has the same size (the
+        # split above hands each ``num_cores // groups`` cores, or one core
+        # when there are fewer cores than groups), so the groups stack into
+        # one matrix, rows alternating K / V group in block order, and one
+        # fancy-index picks the ring cores of every block at once.
+        self._ring_matrix = np.asarray(
+            [group for pair in zip(self._k_groups, self._v_groups) for group in pair],
+            dtype=np.int64,
+        )
+        self._ring_rows = np.arange(len(self._ring_matrix), dtype=np.int64)
+        grouped = self._ring_matrix.ravel()
+        #: every grouped core, as a plain slice when the groups tile a prefix
+        #: of the cores (the usual layout)
+        self._grouped_cores: slice | npt.NDArray[np.int64] = grouped
+        if np.array_equal(grouped, np.arange(len(grouped))):
+            self._grouped_cores = slice(0, len(grouped))
         heads = self.arch.kv_heads
+        size = self._ring_matrix.shape[1]
         self._head_range = np.arange(heads, dtype=np.int64)
-        self._k_matrix: npt.NDArray[np.int64] | None
-        self._v_matrix: npt.NDArray[np.int64] | None
-        if len(set(sizes)) == 1:
-            size = sizes[0]
-            self._k_matrix = np.stack(
-                [np.asarray(g, dtype=np.int64) for g in self._k_groups]
-            )
-            self._v_matrix = np.stack(
-                [np.asarray(g, dtype=np.int64) for g in self._v_groups]
-            )
-            self._uniform_group_size = size
-        else:
-            self._k_matrix = self._v_matrix = None
-            self._uniform_group_size = 0
+        #: every ring row written out twice: a walk of up to ``size`` steps
+        #: from any pointer is then a plain slice of its row, no modulo
+        self._ring_doubled = np.concatenate([self._ring_matrix] * 2, axis=1)
+        #: ``[row, pointer]`` -> the ``heads`` cores a ring walk from
+        #: ``pointer`` hands out when every core is usable (groups at least
+        #: ``heads`` wide)
+        self._ring_windows: npt.NDArray[np.int64] | None = None
+        if size >= heads:
+            self._ring_windows = _windows(self._ring_doubled, heads)
+        #: ring selections never place two slots on one core: every group
+        #: is at least ``heads`` wide and no core sits in two groups
+        self._selection_distinct = (
+            size >= heads and int(np.bincount(grouped).max()) == 1
+        )
 
     # ------------------------------------------------------------------ sizing
 
@@ -208,6 +264,15 @@ class DistributedKVCacheManager:
     @property
     def resident_sequences(self) -> list[int]:
         return sorted(self._allocations)
+
+    @property
+    def page_tables(self) -> PlacementPageTables:
+        """Every transformer block's page table, read from the placements.
+
+        A fresh view per access: the manager keeps no reference to it, so
+        no reference cycle holds a finished run's manager in memory.
+        """
+        return PlacementPageTables(self.arch.num_blocks, self._placements)
 
     # ---------------------------------------------------------------- quotas
 
@@ -285,7 +350,9 @@ class DistributedKVCacheManager:
 
         Cores whose free space is below the reservation threshold (or that have
         failed) are skipped for *new* allocations; if fewer than ``count``
-        usable cores exist, cores may be reused for several heads.
+        usable cores exist, cores may be reused for several heads.  This is
+        the reference walk of one group; admission runs all groups at once
+        through :meth:`_walk_all_groups`, which the tests hold equal to it.
         """
         threshold_blocks = self._threshold_blocks
         usable: list[int] = []
@@ -305,41 +372,64 @@ class DistributedKVCacheManager:
             usable.append(usable[len(usable) % max(1, len(usable))])
         return usable[:count]
 
-    def _select_all_blocks_fast(self) -> npt.NDArray[np.int64] | None:
+    def _select_all_blocks_fast(self) -> npt.NDArray[np.int64]:
         """Ring selection for every (block, K/V) group in a few array ops.
 
         Only valid when no core has failed and every core of every group sits
-        above the reservation threshold (the overwhelmingly common case); the
-        caller falls back to the per-group walk otherwise.  Returns an array of
+        above the reservation threshold (the overwhelmingly common case);
+        :meth:`_walk_all_groups` handles the rest.  Returns an array of
         shape ``(2 * num_blocks, kv_heads)`` of local core indices, rows
         alternating K group / V group per block.
         """
-        size = self._uniform_group_size
-        if size == 0:
-            return None
-        assert self._k_matrix is not None and self._v_matrix is not None
+        # A block's K and V groups share its ring pointer.
+        pointers = np.repeat(self._ring_pointers, 2)
+        if self._ring_windows is not None:
+            return self._ring_windows[self._ring_rows, pointers]
+        # Fewer cores than heads: the walk hands out each core once in ring
+        # order, then pads every remaining head with the first usable core --
+        # replicate that exactly.
+        size = self._ring_matrix.shape[1]
+        ring = (pointers[:, None] + np.arange(size, dtype=np.int64)) % size
+        part = self._ring_matrix[self._ring_rows[:, None], ring]
+        pad = np.repeat(part[:, :1], len(self._head_range) - size, axis=1)
+        return np.concatenate([part, pad], axis=1)
+
+    def _walk_all_groups(self) -> npt.NDArray[np.int64] | None:
+        """:meth:`_select_cores` for every (block, K/V) group at once.
+
+        Each group hands out, in ring order from its block's pointer, the
+        first ``kv_heads`` cores that have not failed and hold more than the
+        threshold free blocks, and pads with the first of them when fewer are
+        usable.  Same shape as :meth:`_select_all_blocks_fast`; None when
+        some group has no usable core.
+        """
+        matrix = self._ring_matrix
+        size = matrix.shape[1]
         heads = len(self._head_range)
-        pointers = np.asarray(self._ring_pointers, dtype=np.int64)
-        rows = np.arange(len(self._k_groups), dtype=np.int64)[:, None]
-        if size >= heads:
-            ring = (pointers[:, None] + self._head_range[None, :]) % size
-            k_sel = self._k_matrix[rows, ring]
-            v_sel = self._v_matrix[rows, ring]
-        else:
-            # Fewer cores than heads: the walk hands out each core once in
-            # ring order, then pads every remaining head with the first
-            # usable core -- replicate that exactly.
-            ring = (pointers[:, None] + np.arange(size, dtype=np.int64)[None, :]) % size
-            k_part = self._k_matrix[rows, ring]
-            v_part = self._v_matrix[rows, ring]
-            k_pad = np.repeat(k_part[:, :1], heads - size, axis=1)
-            v_pad = np.repeat(v_part[:, :1], heads - size, axis=1)
-            k_sel = np.concatenate([k_part, k_pad], axis=1)
-            v_sel = np.concatenate([v_part, v_pad], axis=1)
-        stacked = np.empty((2 * len(self._k_groups), len(self._head_range)), dtype=np.int64)
-        stacked[0::2] = k_sel
-        stacked[1::2] = v_sel
-        return stacked
+        usable = self._free_blocks[matrix] > self._threshold_blocks
+        if self._failed_cores:
+            failed = np.zeros(self.num_kv_cores, dtype=bool)
+            failed[[self._core_index[core] for core in sorted(self._failed_cores)]] = True
+            usable &= ~failed[matrix]
+        pointers = np.repeat(self._ring_pointers, 2)
+        # Column j: whether the core j steps round the ring from the pointer
+        # is usable.
+        in_order = _windows(np.concatenate([usable] * 2, axis=1), size)[
+            self._ring_rows, pointers
+        ]
+        found = in_order.sum(axis=1)
+        if not found.all():
+            return None
+        # A stable sort moves the usable steps to the front, in ring order;
+        # heads beyond a group's usable cores reuse its first one.
+        steps = np.argsort(~in_order, axis=1, kind="stable")[:, :heads]
+        if size < heads:
+            steps = np.concatenate(
+                [steps, np.repeat(steps[:, :1], heads - size, axis=1)], axis=1
+            )
+        steps = np.where(self._head_range < found[:, None], steps, steps[:, :1])
+        starts = self._ring_rows * (2 * size) + pointers
+        return self._ring_doubled.ravel()[starts[:, None] + steps]
 
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
@@ -362,42 +452,35 @@ class DistributedKVCacheManager:
                 self.last_failure_quota_bound = True
                 return False
 
-        selection: npt.NDArray[np.int64] | None = None
-        if not self._failed_cores:
-            group_free = self._free_blocks[self._group_concat]
-            mins = np.minimum.reduceat(group_free, self._group_offsets)
-            if mins.min() > self._threshold_blocks:
-                # Every core of every group is usable: pure ring arithmetic.
-                selection = self._select_all_blocks_fast()
-            else:
-                maxes = np.maximum.reduceat(group_free, self._group_offsets)
-                if maxes.min() <= self._threshold_blocks:
-                    # Some group has no usable core at all: admission fails
-                    # before any placement work, exactly as the walk would.
-                    self.stats.failed_admissions += 1
-                    return False
-
+        # With every core of every group usable the selection is pure ring
+        # arithmetic; otherwise the rings are walked past unusable cores.
+        all_usable = (
+            not self._failed_cores
+            and self._free_blocks[self._grouped_cores].min() > self._threshold_blocks
+        )
+        selection = (
+            self._select_all_blocks_fast() if all_usable else self._walk_all_groups()
+        )
         if selection is None:
-            rows: list[list[int]] = []
-            for block in range(num_blocks):
-                pointer = self._ring_pointers[block]
-                k_cores = self._select_cores(self._k_groups[block], pointer, heads)
-                v_cores = self._select_cores(self._v_groups[block], pointer, heads)
-                if k_cores is None or v_cores is None:
-                    self.stats.failed_admissions += 1
-                    return False
-                rows.append(k_cores)
-                rows.append(v_cores)
-            selection = np.asarray(rows, dtype=np.int64)
-
-        counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores)
-        touched = np.nonzero(counts)[0]
-        touched_counts = counts[touched]
-        if np.any(self._free_blocks[touched] < touched_counts):
             self.stats.failed_admissions += 1
             return False
 
-        self._free_blocks[touched] -= touched_counts
+        touched: npt.NDArray[np.integer[Any]]
+        touched_counts: npt.NDArray[np.integer[Any]]
+        if all_usable and self._selection_distinct:
+            # One slot on each of distinct cores, every one holding more than
+            # the threshold (>= 0) free blocks: the reservation fits.
+            touched = np.sort(selection, axis=None)
+            touched_counts = np.ones(len(touched), dtype=np.int64)
+            self._reserve(touched, 1, 1)
+        else:
+            counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores)
+            touched = np.nonzero(counts)[0]
+            touched_counts = counts[touched]
+            if (self._free_blocks[touched] < touched_counts).any():
+                self.stats.failed_admissions += 1
+                return False
+            self._reserve(touched, touched_counts, int(touched_counts.max()))
         total_reserved = int(touched_counts.sum())
         self._free_total -= total_reserved
         self._charge_tenant(sequence.tenant, total_reserved)
@@ -409,15 +492,9 @@ class DistributedKVCacheManager:
             unique_counts=touched_counts.astype(np.int64, copy=False),
             blocks_per_slot=1,
             tokens=0,
+            placement=self._core_ids_array[selection],
         )
-        global_rows = self._core_ids_array[selection]
-        for block in range(num_blocks):
-            self.page_tables[block].register_heads(
-                sequence_id, global_rows[2 * block], global_rows[2 * block + 1]
-            )
-            self._ring_pointers[block] = (
-                self._ring_pointers[block] + heads
-            ) % max(1, len(self._k_groups[block]))
+        self._ring_pointers = (self._ring_pointers + heads) % self._ring_matrix.shape[1]
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
         self._update_peak()
@@ -437,48 +514,106 @@ class DistributedKVCacheManager:
         needed = max(1, math.ceil(new_tokens / self.tokens_per_block))
         delta = needed - allocation.blocks_per_slot
         if delta > 0:
-            required = allocation.unique_counts * delta
-            total_required = int(required.sum())
+            total_required = allocation.total_slots * delta
             if not self._quota_allows(sequence.tenant, total_required):
                 self.stats.failed_growths += 1
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            if np.any(self._free_blocks[allocation.unique_cores] < required):
-                self.stats.failed_growths += 1
-                return False
-            self._free_blocks[allocation.unique_cores] -= required
+            cores = allocation.unique_cores
+            required = allocation.per_core(delta)
+            most = allocation.max_slots * delta
+            if self._free_floor < most:
+                self._free_floor = int(self._free_blocks.min())
+                if self._free_floor < most and (
+                    self._free_blocks[cores] < required
+                ).any():
+                    self.stats.failed_growths += 1
+                    return False
+            self._reserve(cores, required, most)
             self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
             if self._failed_cores:
                 self._free_on_failed -= self._sum_on_failed(allocation, delta)
             allocation.blocks_per_slot = needed
             self.stats.allocated_blocks += total_required
+            # Occupancy only rises when blocks are allocated, so the
+            # high-water mark is only ever raised here and at admission.
+            self._update_peak()
         allocation.tokens = new_tokens
-        self._update_peak()
         return True
 
     def append_token(self, sequence: Sequence) -> bool:
         """Scheduler-protocol alias for :meth:`append_tokens` with one token."""
         return self.append_tokens(sequence, 1)
 
+    def growth_events(
+        self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.bool_]:
+        """Which growths would allocate blocks (or fail), as one array query.
+
+        ``cached[i]`` is the token count resident sequence *i* holds and
+        ``counts[i]`` the tokens it is about to append.  Entry *i* is True
+        when :meth:`append_tokens` would have to reserve another logical
+        block per slot -- the growth crosses a block boundary -- and False
+        when it only counts tokens, which :meth:`commit_tokens` does for a
+        whole batch of sequences at once.
+        """
+        per_block = self.tokens_per_block
+        held = np.maximum(1, -(-cached // per_block))
+        needed = np.maximum(1, -(-(cached + counts) // per_block))
+        return needed > held
+
+    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
+        """Record growth that :meth:`growth_events` reported as block-free.
+
+        Equivalent to ``append_tokens(sequence, count)`` returning True for
+        every pair: no block is allocated, so only the token counts change.
+        """
+        allocations = self._allocations
+        for sequence, count in zip(sequences, counts):
+            allocations[sequence.sequence_id].tokens += count
+
     def release(self, sequence: Sequence) -> None:
         """Free every block held by a sequence (completion or eviction)."""
         allocation = self._allocations.pop(sequence.sequence_id, None)
         if allocation is None:
             return
-        returned = allocation.unique_counts * allocation.blocks_per_slot
-        self._free_blocks[allocation.unique_cores] += returned
-        self._free_total += int(returned.sum())
-        self._charge_tenant(sequence.tenant, -int(returned.sum()))
+        returned_total = allocation.total_slots * allocation.blocks_per_slot
+        # ufunc.at: an unbuffered in-place add, cheaper than a fancy-index
+        # gather + scatter (the cores are distinct either way).
+        np.add.at(
+            self._free_blocks,
+            allocation.unique_cores,
+            allocation.per_core(allocation.blocks_per_slot),
+        )
+        self._free_total += returned_total
+        self._charge_tenant(sequence.tenant, -returned_total)
         if self._failed_cores:
             self._free_on_failed += self._sum_on_failed(
                 allocation, allocation.blocks_per_slot
             )
-        for table in self.page_tables:
-            table.remove(sequence.sequence_id)
         self.stats.released_sequences += 1
-        self.stats.released_blocks += int(returned.sum())
+        self.stats.released_blocks += returned_total
+
+    def _reserve(
+        self,
+        cores: npt.NDArray[np.integer[Any]],
+        blocks: npt.NDArray[np.integer[Any]] | int,
+        most: int,
+    ) -> None:
+        """Take ``blocks`` free blocks from each of the (distinct) ``cores``;
+        ``most`` is the largest per-core amount, which lowers the floor."""
+        np.subtract.at(self._free_blocks, cores, blocks)
+        self._free_floor -= most
+
+    def _placements(self) -> Iterator[tuple[int, npt.NDArray[np.int64]]]:
+        """``(sequence id, placement)`` of every resident sequence, in admission
+        order -- what the page-table views are built from."""
+        return (
+            (allocation.sequence_id, allocation.placement)
+            for allocation in self._allocations.values()
+        )
 
     def _sum_on_failed(self, allocation: _SequenceAllocation, per_slot: int) -> int:
         """Blocks of an allocation delta that land on failed cores."""
@@ -555,8 +690,8 @@ class DistributedKVCacheManager:
                 ]
                 for allocation in self._allocations.values()
             ],
-            "ring_pointers": list(self._ring_pointers),
-            "page_tables": [table.snapshot_state() for table in self.page_tables],
+            "ring_pointers": self._ring_pointers.tolist(),
+            "page_tables": self.page_tables.snapshot_state(),
             "failed_cores": sorted(self._failed_cores),
             "free_total": self._free_total,
             "free_on_failed": self._free_on_failed,
@@ -567,6 +702,7 @@ class DistributedKVCacheManager:
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self._free_blocks = np.asarray(state["free_blocks"], dtype=np.int64)
+        placements = PlacementPageTables.placements_from_state(state["page_tables"])
         self._allocations = {
             sequence_id: _SequenceAllocation(
                 sequence_id=sequence_id,
@@ -574,12 +710,12 @@ class DistributedKVCacheManager:
                 unique_counts=np.asarray(data["counts"], dtype=np.int64),
                 blocks_per_slot=data["blocks_per_slot"],
                 tokens=data["tokens"],
+                placement=placements[sequence_id],
             )
             for sequence_id, data in state["allocations"]
         }
-        self._ring_pointers = list(state["ring_pointers"])
-        for table, table_state in zip(self.page_tables, state["page_tables"]):
-            table.restore_state(table_state)
+        self._ring_pointers = np.asarray(state["ring_pointers"], dtype=np.int64)
+        self._free_floor = int(self._free_blocks.min())
         self._failed_cores = set(state["failed_cores"])
         self._free_total = state["free_total"]
         self._free_on_failed = state["free_on_failed"]

@@ -6,14 +6,23 @@ of its attention heads (one core per head, per K/V group).
 
 Entries are stored as two compact per-head core arrays (K cores, V cores);
 :class:`HeadPlacement` objects are materialised lazily on :meth:`lookup`, so
-the serving hot path (which registers and removes thousands of entries but
-rarely inspects them) never pays for per-head object construction.
+a table that is rarely inspected never pays for per-head object
+construction.
+
+The distributed KV manager does not maintain tables at all while serving: it
+keeps one placement array per resident sequence, and
+:class:`PlacementPageTables` builds a block's :class:`PageTable` from those
+arrays only when someone looks it up (fault analysis, checkpoints, tests).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
+
+import numpy as np
+import numpy.typing as npt
 
 from ..errors import KVCacheError
 
@@ -107,3 +116,64 @@ class PageTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+#: ``(sequence id, placement)`` pairs in admission order; a placement has one
+#: row of global core ids per (transformer block, K/V) pair -- rows alternate
+#: K group / V group, block by block -- and one column per KV head
+Placements = Callable[[], Iterable[tuple[int, npt.NDArray[np.int64]]]]
+
+
+class PlacementPageTables:
+    """Every transformer block's page table, built on lookup from placements.
+
+    Indexing (or iterating) yields an ordinary :class:`PageTable` whose
+    entries, in admission order, are read from the placement arrays at that
+    moment; mutating the returned table does not touch the manager.
+    """
+
+    def __init__(self, num_blocks: int, placements: Placements) -> None:
+        self._num_blocks = num_blocks
+        self._placements = placements
+
+    def __len__(self) -> int:
+        return self._num_blocks
+
+    def __getitem__(self, block: int) -> PageTable:
+        block = range(self._num_blocks)[block]  # bounds check, negative index
+        k_row, v_row = 2 * block, 2 * block + 1
+        return PageTable(
+            block_index=block,
+            _entries={
+                sequence_id: (tuple(rows[k_row].tolist()), tuple(rows[v_row].tolist()))
+                for sequence_id, rows in self._placements()
+            },
+        )
+
+    def __iter__(self) -> Iterator[PageTable]:
+        return (self[block] for block in range(self._num_blocks))
+
+    def snapshot_state(self) -> list[list[list[Any]]]:
+        """Every block's :meth:`PageTable.snapshot_state`, in block order."""
+        placements = [(sequence_id, rows.tolist()) for sequence_id, rows in self._placements()]
+        return [
+            [
+                [sequence_id, rows[2 * block], rows[2 * block + 1]]
+                for sequence_id, rows in placements
+            ]
+            for block in range(self._num_blocks)
+        ]
+
+    @staticmethod
+    def placements_from_state(
+        state: list[list[list[Any]]],
+    ) -> dict[int, npt.NDArray[np.int64]]:
+        """Invert :meth:`snapshot_state`: sequence id -> placement array."""
+        rows: dict[int, list[list[int]]] = {}
+        for table_state in state:
+            for sequence_id, k_cores, v_cores in table_state:
+                rows.setdefault(sequence_id, []).extend((k_cores, v_cores))
+        return {
+            sequence_id: np.asarray(sequence_rows, dtype=np.int64)
+            for sequence_id, sequence_rows in rows.items()
+        }

@@ -14,17 +14,18 @@ TGP (Section 6.4), which this model reproduces via a fixed blocking overhead.
 
 Admission order (fcfs / wfq / priority) and the sub-epoch split boundary are
 inherited unchanged from :class:`~repro.pipeline.engine.PipelineEngine` — the
-only strategy-specific state here is the longest-sequence watermark, which is
-why :meth:`planned_utilization` must stay side-effect-free: the shared
-``_plan_epoch`` may evaluate (and then truncate) an epoch at a policy-chosen
-arrival boundary before it commits.
+only strategy-specific state here is the longest-sequence watermark, which
+only advances when the utilization is *committed*: the shared ``_plan_epoch``
+may evaluate (and then truncate) an epoch at a policy-chosen arrival boundary
+before it commits.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..models.architectures import AttentionMask
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+from .engine import PipelineEngine, PrefillSegments
 
 #: relative throughput penalty of blocking measured on decoder-only models
 BLOCKING_OVERHEAD = 0.05
@@ -39,50 +40,24 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
         super().__init__(*args, **kwargs)
         self._longest_seen = 0
 
-    def epoch_utilization(
-        self,
-        prefill_segments: list[tuple[Sequence, int]],
-        decode_sequences: int,
+    def segment_utilization(
+        self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
     ) -> float:
-        utilization, self._longest_seen = self._utilization_and_watermark(
-            prefill_segments, decode_sequences
-        )
-        return utilization
-
-    def planned_utilization(
-        self,
-        prefill_segments: list[tuple[Sequence, int]],
-        decode_sequences: int,
-    ) -> float:
-        # Planning must not advance the longest-sequence watermark: a plan
-        # may be truncated and the epoch re-evaluated at close time, which is
-        # when the watermark commits (via epoch_utilization above).
-        utilization, _ = self._utilization_and_watermark(
-            prefill_segments, decode_sequences
-        )
-        return utilization
-
-    def _utilization_and_watermark(
-        self,
-        prefill_segments: list[tuple[Sequence, int]],
-        decode_sequences: int,
-    ) -> tuple[float, int]:
-        longest_seen = self._longest_seen
-        in_flight = 0.0
-        bubble_tokens = 0.0
-        epoch_tokens = float(decode_sequences)
-        for sequence, count in prefill_segments:
-            in_flight += min(self.depth, count + sequence.remaining_prefill)
-            epoch_tokens += count
-            total_length = sequence.request.prefill_length
-            if total_length > longest_seen:
-                # The attention stages stall for the length differential when a
-                # longer-than-ever sequence enters (Section 4.2.2).
-                bubble_tokens += total_length - longest_seen
-                longest_seen = total_length
-        in_flight += decode_sequences
+        # Every sum below adds integers, so the array sums are exact.
+        in_flight = float(
+            np.minimum(self.depth, segments.takes + segments.remaining).sum()
+        ) + decode_sequences
+        epoch_tokens = float(decode_sequences) + int(segments.takes.sum())
+        # The attention stages stall for the length differential whenever a
+        # longer-than-ever sequence enters (Section 4.2.2); summed over the
+        # epoch's entries in order, the differentials telescope to how far
+        # the longest-sequence watermark rises.
+        longest_seen = max(self._longest_seen, int(segments.lengths.max(initial=0)))
+        bubble_tokens = float(longest_seen - self._longest_seen)
+        if commit:
+            self._longest_seen = longest_seen
         if in_flight <= 0:
-            return 0.0, longest_seen
+            return 0.0
         occupancy = min(1.0, in_flight / self.depth)
         if epoch_tokens + bubble_tokens > 0:
             bubble_factor = epoch_tokens / (epoch_tokens + bubble_tokens)
@@ -93,4 +68,4 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
             # Decoder-only models never actually need to wait for later tokens;
             # only the fixed blocking overhead applies.
             utilization = occupancy * (1.0 - BLOCKING_OVERHEAD)
-        return utilization, longest_seen
+        return utilization

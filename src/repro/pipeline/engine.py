@@ -42,13 +42,18 @@ Latency accounting is tenant-aware: every request carries a ``tenant`` id and
 Two implementations of the epoch loop exist, as two per-epoch *advance
 strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
 
-* :meth:`PipelineEngine.run` -- the fast path.  Every epoch it materialises
-  the active sequences' integer state (remaining prefill/decode, positions,
-  budgets) as flat numpy arrays, derives each sequence's prefill/decode takes
-  with a handful of vectorised operations, and accumulates energy as
-  per-quantized-context-bin token counts that are scaled by the memoized
-  :class:`EnergyBreakdown` once per epoch.  No per-segment energy objects are
-  allocated and the scheduler is queried through its O(1) membership set.
+* :meth:`PipelineEngine.run` -- the fast path.  Every epoch the shared
+  planner materialises the active sequences' integer state (remaining
+  prefill/decode, context, budgets) as flat numpy arrays in one pass, and the
+  advance is *event-driven*: one array query to the KV provider finds the
+  sequences whose growth allocates a block (or fails), and only those, the
+  sequences finishing prefill and the completing ones go through the
+  per-sequence ``grow_sequence`` -> ``apply_advance`` -> ``complete`` calls,
+  in snapshot order.  Every other sequence gets a plain token-count commit,
+  so eviction order, mid-epoch KV releases and the KV high-water mark are
+  exactly the scalar path's.  The epoch tally (tokens, context-weighted
+  tokens, per-quantized-context energy bins, prefill segments, first
+  decoders) is computed once from the plan's arrays.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
   original one-sequence-at-a-time loop, kept for validation.  It shares the
   epoch loop and the epoch-closing arithmetic (duration, utilization,
@@ -75,8 +80,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import ConfigurationError, SimulationError
 from ..models.architectures import ModelArch
@@ -170,23 +179,94 @@ class EpochRecord:
     active_sequences: int
 
 
+IntArray = npt.NDArray[np.int64]
+FloatArray = npt.NDArray[np.float64]
+
+
 @dataclass
 class EpochPlan:
     """Per-sequence token takes for one epoch, shared by both engine paths.
 
-    ``budgets[i]`` caps sequence *i*'s tokens this epoch; the prefill/decode
-    split and average attended contexts are the vectorised derivation the fast
-    path commits directly.  ``split`` marks plans whose budgets were truncated
-    so the epoch closes at the next queue-head arrival instead of running a
-    full chunk past it.
+    Arrays are int64 and indexed like the active snapshot.  ``budget[i]``
+    caps sequence *i*'s tokens this epoch; ``takes`` splits it into two
+    *segments*: row 0 is the prefill take at the sequence's current position,
+    row 1 the decode take right after it.  The state the takes were derived
+    from -- ``context`` (cached tokens), ``remaining_prefill``,
+    ``remaining_decode``, ``prefill_length`` and ``generated`` (output tokens
+    so far) -- is kept for the fast path's tally and the planned duration.
+    ``split`` marks plans whose budgets were truncated so the epoch closes at
+    the next queue-head arrival instead of running a full chunk past it.
     """
 
-    budgets: list[int]
-    prefill_takes: list[int]
-    decode_takes: list[int]
-    prefill_avgs: list[float]
-    decode_avgs: list[float]
+    budget: IntArray
+    takes: IntArray
+    context: IntArray
+    remaining_prefill: IntArray
+    remaining_decode: IntArray
+    prefill_length: IntArray
+    generated: IntArray
     split: bool = False
+
+    def derive_takes(self) -> None:
+        """Split every budget: prompt tokens first, the rest decodes."""
+        prefill, decode = self.takes
+        np.minimum(self.budget, self.remaining_prefill, out=prefill)
+        np.subtract(self.budget, prefill, out=decode)
+        np.minimum(decode, self.remaining_decode, out=decode)
+
+    def segment_contexts(self) -> FloatArray:
+        """Average attended context of every segment: its middle position."""
+        start = np.empty_like(self.takes)
+        start[0] = self.context
+        np.add(self.context, self.takes[0], out=start[1])
+        return start + (self.takes - 1) / 2.0
+
+    # Python-int views: the scalar oracle indexes budgets one sequence at a
+    # time, and its counters must stay Python ints.
+
+    @cached_property
+    def budgets(self) -> list[int]:
+        return self.budget.tolist()
+
+    @cached_property
+    def prefill_takes(self) -> list[int]:
+        return self.takes[0].tolist()
+
+    @cached_property
+    def decode_takes(self) -> list[int]:
+        return self.takes[1].tolist()
+
+
+class PrefillSegments(NamedTuple):
+    """One epoch's prefill work, one entry per prefilling sequence.
+
+    ``takes`` are the prompt tokens each sequence prefills this epoch,
+    ``remaining`` its prompt tokens still to prefill as the caller sees it
+    (before the epoch when planning, after it when closing) and ``lengths``
+    its prompt length.  The utilization models read these arrays.
+    """
+
+    takes: IntArray
+    remaining: IntArray
+    lengths: IntArray
+
+    @classmethod
+    def of(
+        cls, segments: PrefillSegments | list[tuple[Sequence, int]]
+    ) -> PrefillSegments:
+        """Accept ready arrays, or ``(sequence, tokens)`` pairs read right now."""
+        if isinstance(segments, PrefillSegments):
+            return segments
+        return cls(
+            takes=np.array([count for _, count in segments], dtype=np.int64),
+            remaining=np.array(
+                [sequence.remaining_prefill for sequence, _ in segments], dtype=np.int64
+            ),
+            lengths=np.array(
+                [sequence.request.prefill_length for sequence, _ in segments],
+                dtype=np.int64,
+            ),
+        )
 
 
 @dataclass
@@ -196,12 +276,16 @@ class _EpochTally:
     Both advance strategies (vectorised and scalar) fill the same tally, so
     the loop around them — stall handling, epoch closing, timestamp stamping,
     accumulator updates — is written once in :meth:`PipelineEngine._drive`.
+    The scalar path appends ``(sequence, tokens)`` prefill segments; the fast
+    path hands over :class:`PrefillSegments` arrays.
     """
 
     tokens: int = 0
     context_weighted: float = 0.0
     energy_bins: dict[int, int] = field(default_factory=dict)
-    prefill_segments: list[tuple[Sequence, int]] = field(default_factory=list)
+    prefill_segments: list[tuple[Sequence, int]] | PrefillSegments = field(
+        default_factory=list
+    )
     decode_sequences: int = 0
     max_decode_chunk: int = 0
     first_decoders: list[Sequence] = field(default_factory=list)
@@ -269,6 +353,7 @@ class PipelineEngine:
         self._accumulator: ServeAccumulator | None = None
         self._interval_cache: dict[int, float] = {}
         self._energy_cache: dict[int, EnergyBreakdown] = {}
+        self._energy_rows: dict[int, tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------ cached costs
 
@@ -292,30 +377,53 @@ class PipelineEngine:
             self._energy_cache[key] = cached
         return cached
 
+    def _energy_row(self, key: int) -> tuple[float, float, float, float]:
+        """Per-token energy of a context bin in :class:`EnergyBreakdown` field order."""
+        row = self._energy_rows.get(key)
+        if row is None:
+            energy = self._energy_for_key(key)
+            row = (
+                energy.compute_j,
+                energy.on_chip_memory_j,
+                energy.off_chip_memory_j,
+                energy.communication_j,
+            )
+            self._energy_rows[key] = row
+        return row
+
     # ----------------------------------------------------------- strategy hook
+
+    def segment_utilization(
+        self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
+    ) -> float:
+        """Fraction of pipeline slots doing useful work (the strategy model).
+
+        ``commit`` is False while planning: the planner may evaluate an epoch
+        that is then truncated and re-evaluated at close time, so a strategy
+        that keeps per-epoch state (blocked TGP's longest-sequence watermark)
+        only advances it when ``commit`` is True.
+        """
+        raise NotImplementedError
 
     def epoch_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments | list[tuple[Sequence, int]],
         decode_sequences: int,
     ) -> float:
         """Fraction of pipeline slots doing useful work this epoch."""
-        raise NotImplementedError
+        return self.segment_utilization(
+            PrefillSegments.of(prefill_segments), decode_sequences, commit=True
+        )
 
     def planned_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments | list[tuple[Sequence, int]],
         decode_sequences: int,
     ) -> float:
-        """Side-effect-free utilization estimate for sub-epoch planning.
-
-        Defaults to :meth:`epoch_utilization`, which is pure for the token-
-        and sequence-grained strategies; strategies that keep per-epoch state
-        (blocked TGP's longest-sequence watermark) must override this with a
-        non-committing variant, because the planner may evaluate an epoch that
-        is then truncated and re-evaluated at close time.
-        """
-        return self.epoch_utilization(prefill_segments, decode_sequences)
+        """Side-effect-free utilization estimate for sub-epoch planning."""
+        return self.segment_utilization(
+            PrefillSegments.of(prefill_segments), decode_sequences, commit=False
+        )
 
     # ------------------------------------------------------------------ running
 
@@ -377,58 +485,142 @@ class PipelineEngine:
     def _advance_epoch_fast(
         self, snapshot: list[Sequence], plan: EpochPlan, time_s: float
     ) -> _EpochTally:
-        """Vectorised advance: commit the plan's takes directly.
+        """Event-driven advance: per-sequence calls only where something happens.
 
-        Flat integer state of every active sequence was derived by the plan
-        in a few vectorised operations: every sequence takes min(chunk,
-        remaining) tokens — truncated when the next arrival lands mid-epoch —
-        split into a prefill take at its current position and a decode take
-        right after it.
+        The plan fixed every sequence's takes: min(chunk, remaining) tokens —
+        truncated when the next arrival lands mid-epoch — split into a prefill
+        take at its current position and a decode take right after it.  Most
+        sequences then only count tokens, so the KV provider reports in one
+        array query which growths allocate (or fail), and those, the
+        sequences finishing prefill and the completing ones are *events*:
+        they go through ``grow_sequence`` -> ``apply_advance`` -> ``complete``
+        in snapshot order.  The sequences between two events get a plain
+        token-count commit before the next event runs, so every event sees
+        exactly the state the one-sequence-at-a-time loop would show it.
+        The tally is then computed once from the plan's arrays.
         """
         scheduler = self.scheduler
-        tally = _EpochTally()
-        budget_list = plan.budgets
-        prefill_take_list = plan.prefill_takes
-        decode_take_list = plan.decode_takes
-        prefill_avg_list = plan.prefill_avgs
-        decode_avg_list = plan.decode_avgs
-        energy_bins = tally.energy_bins
-
-        for i, sequence in enumerate(snapshot):
+        kv = scheduler.kv_provider
+        budget = plan.budget
+        prefill_take = plan.takes[0]
+        remaining_prefill = plan.remaining_prefill
+        moving = budget > 0
+        events = moving & (
+            kv.growth_events(plan.context, budget)
+            # the last prompt token changes the phase
+            | ((prefill_take > 0) & (prefill_take == remaining_prefill))
+            # the last token completes the sequence
+            | (budget == remaining_prefill + plan.remaining_decode)
+        )
+        budgets = plan.budgets
+        prefill_takes = plan.prefill_takes
+        decode_takes = plan.decode_takes
+        # `advanced[i]`: sequence i processed its takes this epoch
+        advanced = moving.copy()
+        finished: list[Sequence] = []
+        # The active set only shrinks by completions unless an event evicts
+        # or sheds; from then on every commit re-checks membership.
+        expected_active = scheduler.num_active
+        disturbed = False
+        start = 0
+        for index in events.nonzero()[0].tolist() + [len(snapshot)]:
+            if start < index:
+                run = snapshot[start:index]
+                run_budgets = budgets[start:index]
+                run_prefill = prefill_takes[start:index]
+                run_decode = decode_takes[start:index]
+                if disturbed:
+                    # Sequences an earlier growth evicted do not advance.
+                    alive = [scheduler.is_active(s) for s in run]
+                    advanced[start:index] &= alive
+                    run = list(compress(run, alive))
+                    run_budgets = list(compress(run_budgets, alive))
+                    run_prefill = list(compress(run_prefill, alive))
+                    run_decode = list(compress(run_decode, alive))
+                kv.commit_tokens(run, run_budgets)
+                for sequence, prefill, decode in zip(run, run_prefill, run_decode):
+                    if prefill:
+                        sequence.prefill_progress += prefill
+                    else:
+                        sequence.decode_progress += decode
+            if index == len(snapshot):
+                break
+            start = index + 1
+            sequence = snapshot[index]
             if not scheduler.is_active(sequence):
-                continue  # evicted by an earlier sequence's KV growth
-            budget = budget_list[i]
-            if budget <= 0:
+                advanced[index] = False  # evicted by an earlier sequence's KV growth
                 continue
-            if not scheduler.grow_sequence(sequence, budget):
-                continue
-            prefill_take = prefill_take_list[i]
-            decode_take = decode_take_list[i]
-            if prefill_take > 0:
-                avg_context = prefill_avg_list[i]
-                tally.tokens += prefill_take
-                tally.context_weighted += avg_context * prefill_take
-                key = self._quantize(avg_context)
-                energy_bins[key] = energy_bins.get(key, 0) + prefill_take
-                tally.prefill_segments.append((sequence, prefill_take))
-            if decode_take > 0:
-                avg_context = decode_avg_list[i]
-                tally.tokens += decode_take
-                tally.context_weighted += avg_context * decode_take
-                key = self._quantize(avg_context)
-                energy_bins[key] = energy_bins.get(key, 0) + decode_take
-                tally.decode_sequences += 1
-                if decode_take > tally.max_decode_chunk:
-                    tally.max_decode_chunk = decode_take
-                if sequence.generated_tokens == 0:
-                    tally.first_decoders.append(sequence)
-            sequence.apply_advance(prefill_take, decode_take)
-            if sequence.is_complete:
-                # Scheduler bookkeeping (KV release, admission resume)
-                # happens mid-epoch; the wall-clock stamp is corrected to
-                # the epoch end by the driver, once the duration is known.
-                scheduler.complete(sequence, time_s)
-                tally.finished.append(sequence)
+            if scheduler.grow_sequence(sequence, budgets[index]):
+                sequence.apply_advance(prefill_takes[index], decode_takes[index])
+                if sequence.is_complete:
+                    # Scheduler bookkeeping (KV release, admission resume)
+                    # happens mid-epoch; `_drive` corrects the wall-clock
+                    # stamp to the epoch end once the duration is known.
+                    scheduler.complete(sequence, time_s)
+                    finished.append(sequence)
+                    expected_active -= 1
+            else:
+                advanced[index] = False
+            if scheduler.num_active != expected_active:
+                disturbed = True
+        return self._tally(snapshot, plan, advanced, finished, disturbed)
+
+    def _tally(
+        self,
+        snapshot: list[Sequence],
+        plan: EpochPlan,
+        advanced: npt.NDArray[np.bool_],
+        finished: list[Sequence],
+        disturbed: bool,
+    ) -> _EpochTally:
+        """The fast path's epoch tally, from the plan's arrays.
+
+        Reproduces the scalar loop's accumulation exactly: every advanced
+        sequence contributes its prefill term and then its decode term in
+        snapshot order, so the context-weighted sum is a sequential
+        ``cumsum`` over the interleaved terms, and the energy bins are
+        filled in first-touch order.  ``disturbed`` (an event evicted
+        sequences) means a prefilled sequence may have been evicted after
+        advancing, so its remaining prompt is read back from the sequence.
+        """
+        # Segment takes of the sequences that advanced (row 0 prefill, row 1
+        # decode); the transposed views walk them in the scalar loop's order.
+        takes = plan.takes * advanced
+        prefill_take, decode_take = takes
+        tally = _EpochTally(
+            tokens=int(np.add.reduce(takes, axis=None)),
+            finished=finished,
+            decode_sequences=int(np.count_nonzero(decode_take)),
+            max_decode_chunk=int(decode_take.max(initial=0)),
+        )
+        if tally.tokens == 0:
+            return tally
+        contexts = plan.segment_contexts()
+        tally.context_weighted = float(np.cumsum((contexts * takes).T)[-1])
+        quantum = self.config.context_quantum
+        keys = np.maximum(1, np.rint(contexts / quantum).astype(np.int64) * quantum)
+        touched = takes.T > 0
+        energy_bins = tally.energy_bins
+        for key, tokens in zip(keys.T[touched].tolist(), takes.T[touched].tolist()):
+            energy_bins[key] = energy_bins.get(key, 0) + tokens
+        prefilled = prefill_take.nonzero()[0]
+        if disturbed:
+            remaining = np.array(
+                [snapshot[i].remaining_prefill for i in prefilled.tolist()],
+                dtype=np.int64,
+            )
+        else:
+            remaining = plan.remaining_prefill[prefilled] - prefill_take[prefilled]
+        tally.prefill_segments = PrefillSegments(
+            takes=prefill_take[prefilled],
+            remaining=remaining,
+            lengths=plan.prefill_length[prefilled],
+        )
+        fresh = (plan.generated == 0).nonzero()[0]
+        if len(fresh):
+            tally.first_decoders = [
+                snapshot[i] for i in fresh[decode_take[fresh] > 0].tolist()
+            ]
         return tally
 
     def _advance_epoch_scalar(
@@ -578,7 +770,10 @@ class PipelineEngine:
                     # (which would have split it), then re-plan with whatever
                     # the wait released.  No epoch index is consumed: batch
                     # never ran these aborted plans.
-                    horizon = time_s + self._plan_horizon(active, plan)
+                    # (A split plan's takes already end at the in-queue
+                    # arrival, so its horizon never reaches past the
+                    # watermark that released that arrival.)
+                    horizon = time_s + self._planned_duration(plan)
                     if arrival_feed.watermark() < horizon:
                         live_sync(horizon, wait=True)
                         continue
@@ -632,24 +827,6 @@ class PipelineEngine:
         return self._finish(
             trace, workload_name, time_s, energy, processed_tokens,
             utilization_time, injector.stats if injector is not None else None,
-        )
-
-    def _plan_horizon(self, snapshot: list[Sequence], plan: EpochPlan) -> float:
-        """Planned duration of ``plan`` — the live feed's watermark gate.
-
-        Rebuilds the planner's arrays from the committed plan (a split plan's
-        takes already end at the in-queue arrival, so its horizon never
-        reaches past the watermark that released that arrival).
-        """
-        positions = np.fromiter(
-            (s.context_length for s in snapshot), dtype=np.int64,
-            count=len(snapshot),
-        )
-        return self._planned_duration(
-            snapshot,
-            positions,
-            np.asarray(plan.prefill_takes, dtype=np.int64),
-            np.asarray(plan.decode_takes, dtype=np.int64),
         )
 
     def _ingest_live(self, arrival_feed, trace: Trace) -> None:
@@ -887,47 +1064,55 @@ class PipelineEngine:
         back into the simulation — can never diverge between them.  A trace
         whose queue head has already arrived (closed batch, or a head blocked
         on capacity) never splits.
+
+        The sequences' counters are read in one pass into a single array;
+        everything else is derived from its columns.
         """
         count = len(snapshot)
-        chunk = self.config.chunk_tokens
-        rem_prefill = np.fromiter(
-            (s.remaining_prefill for s in snapshot), dtype=np.int64, count=count
+        state = np.fromiter(
+            chain.from_iterable(
+                [
+                    (
+                        s.request.prefill_length,
+                        s.extra_prefill,
+                        s.prefill_progress,
+                        s.request.decode_length,
+                        s.decode_offset,
+                        s.decode_progress,
+                    )
+                    for s in snapshot
+                ]
+            ),
+            dtype=np.int64,
+            count=6 * count,
+        ).reshape(count, 6)
+        prompt, extra_prefill, prefilled, decode_length, decode_offset, decoded = state.T
+        remaining_prefill = prompt + extra_prefill - prefilled
+        remaining_decode = decode_length - decode_offset - decoded
+        budget = np.minimum(self.config.chunk_tokens, remaining_prefill + remaining_decode)
+        plan = EpochPlan(
+            budget=budget,
+            takes=np.empty((2, count), dtype=np.int64),
+            context=prefilled + decoded,
+            remaining_prefill=remaining_prefill,
+            remaining_decode=remaining_decode,
+            prefill_length=prompt,
+            generated=decode_offset + decoded,
         )
-        rem_decode = np.fromiter(
-            (s.remaining_decode for s in snapshot), dtype=np.int64, count=count
-        )
-        positions = np.fromiter(
-            (s.context_length for s in snapshot), dtype=np.int64, count=count
-        )
-        budgets = np.minimum(chunk, rem_prefill + rem_decode)
-        prefill_takes = np.minimum(budgets, rem_prefill)
-        decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
-        split = False
+        plan.derive_takes()
         gap = self._gap_to_next_arrival(time_s)
         if gap is not None:
-            planned = self._planned_duration(
-                snapshot, positions, prefill_takes, decode_takes
-            )
+            planned = self._planned_duration(plan)
             if 0.0 < gap < planned:
                 fraction = gap / planned
-                budgets = np.where(
-                    budgets > 0,
-                    np.maximum(1, np.floor(fraction * budgets).astype(np.int64)),
-                    budgets,
+                plan.budget = np.where(
+                    budget > 0,
+                    np.maximum(1, np.floor(fraction * budget).astype(np.int64)),
+                    budget,
                 )
-                prefill_takes = np.minimum(budgets, rem_prefill)
-                decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
-                split = True
-        prefill_avgs = positions + (prefill_takes - 1) / 2.0
-        decode_avgs = (positions + prefill_takes) + (decode_takes - 1) / 2.0
-        return EpochPlan(
-            budgets=budgets.tolist(),
-            prefill_takes=prefill_takes.tolist(),
-            decode_takes=decode_takes.tolist(),
-            prefill_avgs=prefill_avgs.tolist(),
-            decode_avgs=decode_avgs.tolist(),
-            split=split,
-        )
+                plan.derive_takes()
+                plan.split = True
+        return plan
 
     def _gap_to_next_arrival(self, time_s: float) -> float | None:
         """Seconds until admission can next progress (None when it cannot gate).
@@ -946,13 +1131,7 @@ class PipelineEngine:
             return None
         return arrival - time_s
 
-    def _planned_duration(
-        self,
-        snapshot: list[Sequence],
-        positions: np.ndarray,
-        prefill_takes: np.ndarray,
-        decode_takes: np.ndarray,
-    ) -> float:
+    def _planned_duration(self, plan: EpochPlan) -> float:
         """Estimated duration of an epoch advancing the planned takes.
 
         Mirrors :meth:`_close_epoch`'s duration arithmetic on the *planned*
@@ -962,26 +1141,30 @@ class PipelineEngine:
         :meth:`planned_utilization` because a truncated plan is re-evaluated
         at close time.
         """
-        epoch_tokens = int(prefill_takes.sum()) + int(decode_takes.sum())
+        epoch_tokens = int(np.add.reduce(plan.budget))
         if epoch_tokens <= 0:
             return 0.0
-        prefill_avgs = positions + (prefill_takes - 1) / 2.0
-        decode_avgs = (positions + prefill_takes) + (decode_takes - 1) / 2.0
-        context_weighted = float(
-            np.sum(prefill_avgs * prefill_takes) + np.sum(decode_avgs * decode_takes)
+        takes = plan.takes
+        prefill_takes, decode_takes = takes
+        # One pairwise sum per segment row, added: the estimate's historical
+        # arithmetic (the row sums equal np.sum over each row).
+        prefill_weighted, decode_weighted = np.add.reduce(
+            plan.segment_contexts() * takes, axis=1
         )
+        context_weighted = float(prefill_weighted + decode_weighted)
         interval = self.stage_interval(context_weighted / epoch_tokens)
-        prefill_segments = [
-            (snapshot[i], take)
-            for i, take in enumerate(prefill_takes.tolist())
-            if take > 0
-        ]
+        prefilling = prefill_takes > 0
+        segments = PrefillSegments(
+            takes=prefill_takes[prefilling],
+            remaining=plan.remaining_prefill[prefilling],
+            lengths=plan.prefill_length[prefilling],
+        )
         decode_count = int(np.count_nonzero(decode_takes))
         utilization = max(
-            1e-6, min(1.0, self.planned_utilization(prefill_segments, decode_count))
+            1e-6, min(1.0, self.planned_utilization(segments, decode_count))
         )
         duration = epoch_tokens * interval / utilization
-        max_decode_chunk = int(decode_takes.max()) if len(decode_takes) else 0
+        max_decode_chunk = int(decode_takes.max(initial=0))
         return max(duration, max_decode_chunk * self.depth * interval)
 
     def _admit_or_skip_idle(
@@ -1092,7 +1275,7 @@ class PipelineEngine:
         epoch_tokens: int,
         context_weighted: float,
         energy_bins: dict[int, int],
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: list[tuple[Sequence, int]] | PrefillSegments,
         decode_sequences: int,
         max_decode_chunk: int,
     ) -> tuple[float, float, EnergyBreakdown]:
@@ -1121,12 +1304,13 @@ class PipelineEngine:
             if duration > 0
             else utilization
         )
-        # One memoized EnergyBreakdown lookup and scale per quantized context
-        # bin -- not per segment -- in first-touch order.
-        epoch_energy = EnergyBreakdown()
-        for key, bin_tokens in energy_bins.items():
-            epoch_energy = epoch_energy + self._energy_for_key(key).scaled(bin_tokens)
-        return duration, utilization, epoch_energy
+        # One memoized per-token energy per quantized context bin -- not per
+        # segment -- scaled by the bin's tokens and summed in first-touch
+        # order (a sequential cumsum, one column per energy category).
+        per_token = np.array([self._energy_row(key) for key in energy_bins])
+        tokens = np.fromiter(energy_bins.values(), dtype=np.float64, count=len(energy_bins))
+        sums = np.cumsum(per_token * tokens[:, None], axis=0)[-1]
+        return duration, utilization, EnergyBreakdown(*sums.tolist())
 
     def _finish(
         self,

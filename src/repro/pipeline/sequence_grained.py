@@ -16,8 +16,7 @@ Both effects are modelled per epoch from the actual set of in-flight items.
 
 from __future__ import annotations
 
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+from .engine import PipelineEngine, PrefillSegments
 
 
 class SequenceGrainedPipeline(PipelineEngine):
@@ -25,17 +24,16 @@ class SequenceGrainedPipeline(PipelineEngine):
 
     name = "ouroboros-seq-grained"
 
-    def epoch_utilization(
-        self,
-        prefill_segments: list[tuple[Sequence, int]],
-        decode_sequences: int,
+    def segment_utilization(
+        self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
     ) -> float:
         # Work-item sizes currently in flight: one item per prefilling
         # sequence (its remaining prompt chunk) and one single-token item per
-        # decoding sequence.
-        item_sizes: list[float] = []
-        for sequence, count in prefill_segments:
-            item_sizes.append(float(count + sequence.remaining_prefill))
+        # decoding sequence.  The spread below is a float sum, so it stays a
+        # Python sum over a list, in segment order.
+        item_sizes: list[float] = (
+            (segments.takes + segments.remaining).astype(float).tolist()
+        )
         item_sizes.extend([1.0] * decode_sequences)
         if not item_sizes:
             return 0.0

@@ -17,8 +17,9 @@ decode-phase utilisation drops below one.
 
 from __future__ import annotations
 
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+import numpy as np
+
+from .engine import PipelineEngine, PrefillSegments
 
 
 class TokenGrainedPipeline(PipelineEngine):
@@ -26,18 +27,14 @@ class TokenGrainedPipeline(PipelineEngine):
 
     name = "ouroboros-tgp"
 
-    def epoch_utilization(
-        self,
-        prefill_segments: list[tuple[Sequence, int]],
-        decode_sequences: int,
+    def segment_utilization(
+        self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
     ) -> float:
-        in_flight = 0.0
-        for sequence, count in prefill_segments:
-            # A prefilling sequence keeps streaming into the pipeline beyond
-            # this epoch's chunk, so its in-flight contribution is bounded by
-            # the pipeline depth, not by the chunk size.
-            in_flight += min(self.depth, count + sequence.remaining_prefill)
-        in_flight += decode_sequences
+        # A prefilling sequence keeps streaming into the pipeline beyond this
+        # epoch's chunk, so its in-flight contribution is bounded by the
+        # pipeline depth, not by the chunk size.  (Integer sums: exact.)
+        streaming = np.minimum(self.depth, segments.takes + segments.remaining)
+        in_flight = float(streaming.sum()) + decode_sequences
         if in_flight <= 0:
             return 0.0
         return min(1.0, in_flight / self.depth)

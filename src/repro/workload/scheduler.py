@@ -31,6 +31,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
+import numpy as np
+import numpy.typing as npt
+
 from ..errors import ConfigurationError, SchedulingError
 from .policies import SchedulingPolicy, make_policy
 from .requests import Request, Sequence, SequencePhase
@@ -52,6 +55,22 @@ class KVCapacityProvider(Protocol):
 
     def append_tokens(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for ``count`` more tokens; return False if full."""
+        ...
+
+    def growth_events(
+        self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.bool_]:
+        """Mask of the growths that are not a pure token-count commit.
+
+        ``cached[i]`` is resident sequence *i*'s context length and
+        ``counts[i]`` the tokens it appends this epoch.  True entries
+        (allocations, refusals) must go through :meth:`append_tokens`, in
+        order, so eviction stays exact; the provider owns the arithmetic.
+        """
+        ...
+
+    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
+        """Record growths :meth:`growth_events` reported False, in one call."""
         ...
 
 

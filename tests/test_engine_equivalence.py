@@ -11,12 +11,14 @@ policies, and under eviction pressure.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.kvcache.static import StaticKVCacheManager
 from repro.pipeline.blocked import BlockedTokenGrainedPipeline
+from repro.pipeline.checkpoint import EngineCheckpoint
 from repro.pipeline.engine import PipelineConfig
 from repro.pipeline.sequence_grained import SequenceGrainedPipeline
 from repro.pipeline.stages import TokenCostModel
@@ -66,6 +68,15 @@ def assert_bitwise_equal(fast, scalar):
     assert fast.ttft.as_dict() == scalar.ttft.as_dict()
     assert fast.latency.as_dict() == scalar.latency.as_dict()
     assert fast.extra["epochs"] == scalar.extra["epochs"]
+
+
+def assert_kv_state_equal(fast_engine, scalar_engine):
+    """Both paths leave the KV manager in the same state."""
+    assert fast_engine.kv_manager.stats == scalar_engine.kv_manager.stats
+    assert (
+        fast_engine.kv_manager.snapshot_state()
+        == scalar_engine.kv_manager.snapshot_state()
+    )
 
 
 def mixed_trace(num_requests=10, seed=3, arrival_rate_per_s=0.0):
@@ -509,6 +520,99 @@ class TestPreemptionEquivalence:
             )
 
 
+class TestKVStateEquivalence:
+    """The KV manager's state is part of the fast == scalar contract.
+
+    Equal ``RunResult`` fields alone would let a high-water mark raised at
+    the wrong moment or a stale allocation token count through, so these
+    runs also compare ``kv_manager.stats`` and ``snapshot_state()`` at the
+    end, and the whole engine checkpoint -- KV occupancy, allocation token
+    counts, page tables, scheduler and sequence state -- at epoch
+    boundaries spread over the run.
+    """
+
+    #: undersized cache: growth crosses blocks, fails and evicts
+    PRESSURE = dict(blocks_per_core=2, kv_cores=24, chunk=64)
+
+    @staticmethod
+    def _check(build, trace_fn, fault_plan=None):
+        fast, scalar = build(), build()
+        result = fast.run(trace_fn(), fault_plan=fault_plan)
+        assert_bitwise_equal(
+            result, scalar.run_scalar(trace_fn(), fault_plan=fault_plan)
+        )
+        assert_kv_state_equal(fast, scalar)
+        epochs = result.extra["epochs"]
+        for suspend_at in range(1, epochs, max(1, epochs // 8)):
+            fast_checkpoint, scalar_checkpoint = (
+                getattr(build(), method)(
+                    trace_fn(), fault_plan=fault_plan, suspend_at_epoch=suspend_at
+                )
+                for method in ("run", "run_scalar")
+            )
+            assert isinstance(fast_checkpoint, EngineCheckpoint)
+            assert fast_checkpoint.as_dict() == scalar_checkpoint.as_dict()
+        return fast, result
+
+    def test_eviction_pressure(self, tiny_arch, small_wafer_config):
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", **self.PRESSURE)
+
+        _, result = self._check(
+            build, lambda: make_trace(num_requests=6, prefill=300, decode=64)
+        )
+        assert result.evictions > 0
+
+    def test_quota_and_preemption(self, tiny_arch, small_wafer_config):
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", scheduling_policy="wfq", max_active=2,
+                                preemptive=True, blocks_per_core=8, kv_cores=24,
+                                chunk=64)
+
+        _, result = self._check(
+            build, lambda: staggered_preemption_trace(batch_quota=0.5)
+        )
+        assert sum(t.preemptions for t in result.tenants.values()) > 0
+
+    def test_mid_epoch_split(self, tiny_arch, small_wafer_config):
+        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+
+        tenants = (
+            TenantSpec(name="chat", workload="lp200_ld32", num_requests=4,
+                       arrival_rate_per_s=2000.0),
+            TenantSpec(name="batch", workload="lp320_ld48", num_requests=3,
+                       arrival_rate_per_s=800.0),
+        )
+
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", **self.PRESSURE)
+
+        _, result = self._check(
+            build, lambda: generate_multi_tenant_trace(tenants, seed=11)
+        )
+        assert result.extra["split_epochs"] > 0
+        assert result.evictions > 0
+
+    def test_kv_core_fault_plan(self, tiny_arch, small_wafer_config):
+        from repro.sim.faults import FaultPlan
+
+        plan = FaultPlan.parse("kv_block@1e-06,kv_core@0.0001,stall@0.0002:0:0.01")
+
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", **self.PRESSURE)
+
+        fast, result = self._check(
+            build, lambda: make_trace(num_requests=6, prefill=300, decode=64),
+            fault_plan=plan,
+        )
+        assert result.faults.kv_core_failures == 1
+        assert fast.kv_manager.failed_cores
+
+
 class TestCheckpointResume:
     """Suspend-at-epoch + resume reproduces the uninterrupted run bit for bit.
 
@@ -594,6 +698,33 @@ class TestCheckpointResume:
 
         baseline, _ = self._suspend_resume(build, method, trace_fn, suspend_at=3)
         assert baseline.evictions > 0  # the scenario actually thrashes
+
+    @pytest.mark.parametrize("method", ["run", "run_scalar"])
+    def test_resumed_page_tables_continue_bitwise(self, method, tiny_arch,
+                                                  small_wafer_config):
+        """KV placements rebuilt from a checkpoint's page tables are exact.
+
+        A run resumed from the JSON round trip and suspended again later
+        must reach the uninterrupted run's checkpoint at that epoch, KV
+        occupancy and page tables included.
+        """
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", blocks_per_core=2, kv_cores=24, chunk=64)
+
+        def trace_fn():
+            return make_trace(num_requests=6, prefill=300, decode=64)
+
+        checkpoint = getattr(build(), method)(trace_fn(), suspend_at_epoch=3)
+        restored = EngineCheckpoint.from_dict(
+            json.loads(json.dumps(checkpoint.as_dict()))
+        )
+        assert any(restored.kv["page_tables"])  # resident placements ride along
+        later = getattr(build(), method)(
+            trace_fn(), resume_from=restored, suspend_at_epoch=6
+        )
+        direct = getattr(build(), method)(trace_fn(), suspend_at_epoch=6)
+        assert later.as_dict() == direct.as_dict()
 
     def test_static_kv_policy_bitwise(self, tiny_arch, small_wafer_config):
         def build():

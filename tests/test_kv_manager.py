@@ -1,11 +1,19 @@
 """Tests for the distributed dynamic KV-cache manager and its static baseline."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError, KVCacheError
 from repro.kvcache.manager import DistributedKVCacheManager
+from repro.kvcache.pagetable import PageTable
 from repro.kvcache.static import StaticKVCacheManager
 from repro.workload.requests import Request, Sequence
+
+#: page tables and checkpoint of a fixed admit/grow/release scenario, recorded
+#: while the manager still kept one page-table object per transformer block
+GOLDEN_PAGE_TABLES = Path(__file__).parent / "fixtures" / "kv_page_tables.json"
 
 
 def make_sequence(
@@ -246,6 +254,33 @@ class TestRingSelectionEquivalence:
             assert fast[2 * block].tolist() == walk_k
             assert fast[2 * block + 1].tolist() == walk_v
 
+    @pytest.mark.parametrize("kv_cores", [8, 32])
+    def test_group_walk_matches_per_group_walk(self, tiny_arch, kv_cores):
+        """With failed and threshold-starved cores, the vectorised walk of all
+        groups hands out exactly what the per-group walk does."""
+        manager = DistributedKVCacheManager(
+            tiny_arch, kv_core_ids=list(range(kv_cores)), blocks_per_core=8,
+            threshold=0.5,
+        )
+        heads = tiny_arch.kv_heads
+        admitted = 0
+        while manager.try_admit(make_sequence(admitted)):
+            admitted += 1
+            if admitted % 3 == 0:
+                manager.fail_core(manager.kv_core_ids[admitted % kv_cores])
+            walked = manager._walk_all_groups()
+            expected = []
+            for block in range(tiny_arch.num_blocks):
+                pointer = int(manager._ring_pointers[block])
+                expected.append(manager._select_cores(manager._k_groups[block], pointer, heads))
+                expected.append(manager._select_cores(manager._v_groups[block], pointer, heads))
+            if walked is None:
+                assert None in expected
+            else:
+                assert walked.tolist() == expected
+        assert admitted > 1
+        assert manager.failed_cores
+
     def test_fast_selection_matches_walk_after_pointer_advance(self, manager, tiny_arch):
         manager.try_admit(make_sequence(0))  # advances every ring pointer
         heads = tiny_arch.kv_heads
@@ -254,6 +289,64 @@ class TestRingSelectionEquivalence:
             pointer = manager._ring_pointers[block]
             walk_k = manager._select_cores(manager._k_groups[block], pointer, heads)
             assert fast[2 * block].tolist() == walk_k
+
+
+class TestPageTableCheckpointContract:
+    """Page tables are views built from per-sequence placements on lookup;
+    the checkpoint format and every lookup answer stay what they were."""
+
+    CORES = list(range(100, 132))
+
+    def _manager(self, tiny_arch):
+        return DistributedKVCacheManager(
+            tiny_arch, kv_core_ids=self.CORES, blocks_per_core=16
+        )
+
+    def _scenario(self, tiny_arch):
+        manager = self._manager(tiny_arch)
+        sequences = [make_sequence(i) for i in range(5)]
+        for i in (0, 1, 2):
+            assert manager.try_admit(sequences[i])
+        manager.append_tokens(sequences[0], manager.tokens_per_block + 1)
+        manager.release(sequences[1])
+        assert manager.try_admit(sequences[3])
+        manager.append_tokens(sequences[3], 5)
+        assert manager.try_admit(sequences[4])
+        return manager
+
+    @pytest.fixture
+    def golden(self):
+        return json.loads(GOLDEN_PAGE_TABLES.read_text())
+
+    def test_snapshot_matches_golden(self, tiny_arch, golden):
+        snapshot = json.loads(json.dumps(self._scenario(tiny_arch).snapshot_state()))
+        assert snapshot["page_tables"] == golden["snapshot"]["page_tables"]
+        assert snapshot == golden["snapshot"]
+
+    def test_restored_golden_answers_lookups(self, tiny_arch, golden):
+        restored = self._manager(tiny_arch)
+        restored.restore_state(golden["snapshot"])
+        for manager in (self._scenario(tiny_arch), restored):
+            for block, tables in golden["lookup"].items():
+                table = manager.page_tables[int(block)]
+                for seq, placements in tables.items():
+                    assert [
+                        [p.head, p.k_core, p.v_core]
+                        for p in table.lookup(int(seq))
+                    ] == placements
+                    assert table.cores_of(int(seq)) == golden["cores_of"][block][seq]
+            for core, residents in golden["sequences_on_core"].items():
+                assert manager.sequences_on_core(int(core)) == residents
+        assert restored.snapshot_state() == golden["snapshot"]
+
+    def test_admission_and_release_write_no_table(self, tiny_arch, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a page table was written")
+
+        monkeypatch.setattr(PageTable, "register_heads", refuse)
+        monkeypatch.setattr(PageTable, "remove", refuse)
+        manager = self._scenario(tiny_arch)
+        assert len(manager.page_tables[0]) == len(manager.resident_sequences)
 
 
 class TestThreshold:

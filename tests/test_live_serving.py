@@ -243,12 +243,14 @@ class TestDaemonParity:
             with handle.client() as client:
                 for request in requests:
                     client.submit(request)
-                # let the engine commit some epochs before interrupting it
-                deadline = time.time() + 60.0
-                while time.time() < deadline:
-                    status = client.status()
-                    if status["completed"] >= 1:
-                        break
+                # Let the engine commit an epoch before interrupting it.  No
+                # request can complete first (lp128_ld2048 decodes 2,048
+                # tokens and the watermark parks the engine long before), so
+                # wait for the clock to move -- what the asserts below need.
+                deadline = time.monotonic() + 60.0
+                while client.status()["time_s"] <= 0.0:
+                    assert time.monotonic() < deadline, "no epoch was committed"
+                    time.sleep(0.01)
                 info = client.checkpoint(stop=True)
                 assert info["stop"] is True
                 assert info["time_s"] > 0.0
