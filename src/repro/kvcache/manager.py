@@ -10,15 +10,33 @@ allocation as the sequence's context expands.
 
 Address translation is three-level (Fig. 12): a per-block page table maps the
 sequence to per-head core coordinates; each core's bitmap maps the sequence to
-logical blocks; each crossbar's free-block table tracks valid rows.  For
-simulation speed the manager keeps the block occupancy in vectorised per-core
-counters plus O(1) running totals (free/healthy block counts are maintained
-incrementally, never recomputed by scanning the core arrays), and the ring
-selection of admission cores is a handful of vectorised index operations.
-Each resident sequence keeps its ring selection as one placement array; the
-per-block page tables are exact views built from those arrays on lookup
-(:class:`~repro.kvcache.pagetable.PlacementPageTables`), so admission and
-release never touch per-block tables.
+logical blocks; each crossbar's free-block table tracks valid rows.
+
+The groups stack into *ring rows* of equal width (K row, then V row, block
+by block), and every admission advances every block's ring pointer by
+``kv_heads`` -- so the pointers move in lockstep and are kept as one number.
+The block occupancy lives in one of two accountings:
+
+* **Column accounting**, the start state.  While no KV core has failed and
+  no core sits in two ring rows, every row's walk hands out the same ring
+  columns, so the cores of one column (one per row) hold identical
+  occupancy.  Free blocks are then kept per ring column, and each
+  allocation as the ring column of every KV head plus a slot count per
+  column: admission, growth, release and :meth:`sequences_on_core` touch
+  ``kv_heads`` entries instead of one per (block, head, K/V) slot's core.
+* **Per-core accounting**.  A failed core leaves its row skipping a column
+  the other rows still use, so the first
+  :meth:`~DistributedKVCacheManager.fail_core` expands the state to free
+  blocks per core and each allocation's cores and slot counts, which stay
+  the accounting from then on.  Layouts with fewer KV cores than ring rows
+  (one core in several rows) start in it.
+
+Either way the free and healthy block totals are O(1) running counters, and
+the per-block page tables are exact views built from the allocations on
+lookup (:class:`~repro.kvcache.pagetable.PlacementPageTables`), so admission
+and release never touch per-block tables.  Checkpoints always hold the
+per-core view; restoring one in which no core had failed re-enters the
+column accounting.
 
 Token growth is split by what it costs.  Most growth stays inside the
 sequence's last logical block and only counts tokens; the serving engine asks
@@ -33,6 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -45,20 +64,16 @@ from .blocks import tokens_per_block
 from .pagetable import PlacementPageTables
 
 
-def _windows(doubled: npt.NDArray[Any], width: int) -> npt.NDArray[Any]:
-    """``[row, start]`` -> ``doubled[row, start:start + width]``, without a copy.
-
-    Built directly as a strided view rather than through
-    ``numpy.lib.stride_tricks``, whose import would cost every cold build
-    tens of milliseconds.
-    """
-    row_stride, item = doubled.strides
-    return np.ndarray(
-        shape=(doubled.shape[0], doubled.shape[1] - width + 1, width),
-        dtype=doubled.dtype,
-        buffer=doubled,
-        strides=(row_stride, item, item),
-    )
+def _slot_counts(
+    selection: npt.NDArray[np.int64], size: int
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """The distinct units (< ``size``) a selection names, ascending, and how
+    many of its slots each holds."""
+    counts = np.bincount(selection.ravel(), minlength=size)
+    # astype(copy=False) is a no-op view here (bincount/flatnonzero yield
+    # intp == int64 on this platform); it only pins the static type.
+    units = np.flatnonzero(counts).astype(np.int64, copy=False)
+    return units, counts[units].astype(np.int64, copy=False)
 
 
 @dataclass
@@ -87,24 +102,30 @@ class KVCacheStats:
 class _SequenceAllocation:
     """Internal record of one resident sequence's KV allocation.
 
-    The per-core slot multiplicity is stored sparsely: ``unique_cores`` holds
-    the local indices of the cores the sequence actually touches and
-    ``unique_counts`` the number of (block, head, K/V) slots on each.  Growth
-    and release then scale with the sequence's footprint instead of the total
-    KV-core count.
+    The slot multiplicity is stored sparsely over the accounting's units --
+    ring columns under column accounting, local core indices under per-core
+    accounting: ``units`` holds the units the sequence touches, ascending,
+    and ``unit_counts`` the (block, head, K/V) slots on each of their cores
+    (a column's count holds on the column's core in every ring row).  Growth
+    and release then scale with the sequence's footprint instead of the
+    total KV-core count.
     """
 
     sequence_id: int
-    unique_cores: npt.NDArray[np.int64]
-    unique_counts: npt.NDArray[np.int64]
+    units: npt.NDArray[np.int64]
+    unit_counts: npt.NDArray[np.int64]
+    #: slots summed over every touched core
+    total_slots: int
     blocks_per_slot: int
     tokens: int
-    #: global core id of every (transformer block, K/V, head) slot: one row
-    #: per block and group (K row, then V row), one column per KV head --
-    #: the source of the page-table views
+    #: where the slots sit -- the source of the page-table views.  Under
+    #: column accounting the ring column of each KV head (the same in every
+    #: ring row); under per-core accounting the global core id of every
+    #: (transformer block, K/V, head) slot, one row per block and group (K
+    #: row, then V row) and one column per KV head
     placement: npt.NDArray[np.int64]
-    #: slots summed over the touched cores
-    total_slots: int = field(init=False)
+    #: slots on failed cores (per-core accounting only)
+    failed_slots: int = 0
     #: most slots on one touched core
     max_slots: int = field(init=False)
     #: the slots every touched core holds when that is one number for all of
@@ -112,18 +133,17 @@ class _SequenceAllocation:
     slots_per_core: int = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = self.unique_counts
-        self.total_slots = int(counts.sum())
+        counts = self.unit_counts
         low, self.max_slots = (
             (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
         )
         self.slots_per_core = self.max_slots if low == self.max_slots else 0
 
-    def per_core(self, blocks_per_slot: int) -> npt.NDArray[np.int64] | int:
-        """Blocks on each touched core for ``blocks_per_slot`` blocks a slot."""
+    def per_unit(self, blocks_per_slot: int) -> npt.NDArray[np.int64] | int:
+        """Blocks on each touched unit for ``blocks_per_slot`` blocks a slot."""
         if self.slots_per_core:
             return self.slots_per_core * blocks_per_slot
-        return self.unique_counts * blocks_per_slot
+        return self.unit_counts * blocks_per_slot
 
 
 class DistributedKVCacheManager:
@@ -162,11 +182,10 @@ class DistributedKVCacheManager:
         self._tenant_used: dict[str, int] = {}
 
         num_cores = len(self.kv_core_ids)
-        self._free_blocks = np.full(num_cores, blocks_per_core, dtype=np.int64)
-        self._core_index = {core_id: i for i, core_id in enumerate(self.kv_core_ids)}
-        self._core_ids_array = np.asarray(self.kv_core_ids, dtype=np.int64)
         self._allocations: dict[int, _SequenceAllocation] = {}
         self._failed_cores: set[int] = set()
+        #: local core index -> failed (kept in step with ``_failed_cores``)
+        self._failed_mask = np.zeros(num_cores, dtype=bool)
         #: O(1) running totals (kept in sync by every allocation mutation)
         self._free_total = num_cores * blocks_per_core
         self._free_on_failed = 0
@@ -179,59 +198,44 @@ class DistributedKVCacheManager:
 
         # Split the KV cores into one (K group, V group) pair per transformer
         # block, preserving wafer order so that each block's KV cores sit near
-        # its weight cores when the mapper interleaves them.
-        self._k_groups: list[list[int]] = []
-        self._v_groups: list[list[int]] = []
-        groups = 2 * arch.num_blocks
-        per_group = max(1, num_cores // groups)
-        for block in range(arch.num_blocks):
-            k_start = (2 * block) * per_group
-            v_start = (2 * block + 1) * per_group
-            k_group = list(range(k_start, min(k_start + per_group, num_cores)))
-            v_group = list(range(v_start, min(v_start + per_group, num_cores)))
-            if not k_group:
-                k_group = [k_start % num_cores]
-            if not v_group:
-                v_group = [v_start % num_cores]
-            self._k_groups.append(k_group)
-            self._v_groups.append(v_group)
-        #: per-block ring pointer into the K/V groups, advanced by ``kv_heads``
-        #: modulo the group size on every admission
-        self._ring_pointers = np.zeros(arch.num_blocks, dtype=np.int64)
+        # its weight cores when the mapper interleaves them.  Each of the
+        # ``2 * num_blocks`` ring rows (K row, then V row, block by block)
+        # takes the next ``num_cores // rows`` cores; with fewer cores than
+        # rows, row r gets the single core ``r % num_cores``.
+        rows = 2 * arch.num_blocks
+        width = self._ring_width = max(1, num_cores // rows)
+        self._ring_matrix = (
+            np.arange(rows, dtype=np.int64)[:, None] * width
+            + np.arange(width, dtype=np.int64)
+        ) % num_cores
+        #: the ring pointer every block shares, advanced by ``kv_heads``
+        #: modulo the ring width on every admission
+        self._ring_pointer = 0
+        #: one ring row's columns written out twice: a walk of up to a row's
+        #: width from any pointer is a plain slice, no modulo
+        self._ring_doubled = np.concatenate([np.arange(width, dtype=np.int64)] * 2)
+        self._head_range = np.arange(arch.kv_heads, dtype=np.int64)
+        #: whether the accounting is per ring column (else per core)
+        self._columns = self._columns_fit()
+        #: free blocks per accounting unit: per ring column under column
+        #: accounting, per core under per-core accounting
+        self._free = np.full(
+            width if self._columns else num_cores, blocks_per_core, dtype=np.int64
+        )
 
-        # Vectorised admission state.  Every group has the same size (the
-        # split above hands each ``num_cores // groups`` cores, or one core
-        # when there are fewer cores than groups), so the groups stack into
-        # one matrix, rows alternating K / V group in block order, and one
-        # fancy-index picks the ring cores of every block at once.
-        self._ring_matrix = np.asarray(
-            [group for pair in zip(self._k_groups, self._v_groups) for group in pair],
-            dtype=np.int64,
-        )
-        self._ring_rows = np.arange(len(self._ring_matrix), dtype=np.int64)
-        grouped = self._ring_matrix.ravel()
-        #: every grouped core, as a plain slice when the groups tile a prefix
-        #: of the cores (the usual layout)
-        self._grouped_cores: slice | npt.NDArray[np.int64] = grouped
-        if np.array_equal(grouped, np.arange(len(grouped))):
-            self._grouped_cores = slice(0, len(grouped))
-        heads = self.arch.kv_heads
-        size = self._ring_matrix.shape[1]
-        self._head_range = np.arange(heads, dtype=np.int64)
-        #: every ring row written out twice: a walk of up to ``size`` steps
-        #: from any pointer is then a plain slice of its row, no modulo
-        self._ring_doubled = np.concatenate([self._ring_matrix] * 2, axis=1)
-        #: ``[row, pointer]`` -> the ``heads`` cores a ring walk from
-        #: ``pointer`` hands out when every core is usable (groups at least
-        #: ``heads`` wide)
-        self._ring_windows: npt.NDArray[np.int64] | None = None
-        if size >= heads:
-            self._ring_windows = _windows(self._ring_doubled, heads)
-        #: ring selections never place two slots on one core: every group
-        #: is at least ``heads`` wide and no core sits in two groups
-        self._selection_distinct = (
-            size >= heads and int(np.bincount(grouped).max()) == 1
-        )
+    # Core-id translations, built on first use: under column accounting only
+    # faults, checkpoints and page-table lookups need them, so most runs
+    # never pay for tables over every KV core.
+
+    @cached_property
+    def _core_index(self) -> dict[int, int]:
+        """Global core id -> local core index."""
+        return {core_id: i for i, core_id in enumerate(self.kv_core_ids)}
+
+    @cached_property
+    def _core_ids_array(self) -> npt.NDArray[np.int64]:
+        """Local core index -> global core id."""
+        return np.asarray(self.kv_core_ids, dtype=np.int64)
 
     # ------------------------------------------------------------------ sizing
 
@@ -351,17 +355,19 @@ class DistributedKVCacheManager:
         Cores whose free space is below the reservation threshold (or that have
         failed) are skipped for *new* allocations; if fewer than ``count``
         usable cores exist, cores may be reused for several heads.  This is
-        the reference walk of one group; admission runs all groups at once
-        through :meth:`_walk_all_groups`, which the tests hold equal to it.
+        the reference walk of one group; admission walks every group at once
+        through :meth:`_select_columns` or :meth:`_walk_all_groups`, which
+        the tests hold equal to it.
         """
         threshold_blocks = self._threshold_blocks
+        free_blocks = self._core_free()
         usable: list[int] = []
         size = len(group)
         for offset in range(size):
             local = group[(pointer + offset) % size]
             if self.kv_core_ids[local] in self._failed_cores:
                 continue
-            if self._free_blocks[local] <= threshold_blocks:
+            if free_blocks[local] <= threshold_blocks:
                 continue
             usable.append(local)
             if len(usable) == count:
@@ -372,64 +378,57 @@ class DistributedKVCacheManager:
             usable.append(usable[len(usable) % max(1, len(usable))])
         return usable[:count]
 
-    def _select_all_blocks_fast(self) -> npt.NDArray[np.int64]:
-        """Ring selection for every (block, K/V) group in a few array ops.
+    def _select_columns(self) -> npt.NDArray[np.int64] | None:
+        """Column accounting's ring walk: the column of each KV head.
 
-        Only valid when no core has failed and every core of every group sits
-        above the reservation threshold (the overwhelmingly common case);
-        :meth:`_walk_all_groups` handles the rest.  Returns an array of
-        shape ``(2 * num_blocks, kv_heads)`` of local core indices, rows
-        alternating K group / V group per block.
+        Every ring row's walk is the same walk over the columns: from the
+        pointer, the first ``kv_heads`` columns holding more than the
+        threshold free blocks, padded with the first of them when fewer are
+        usable.  None when no column is usable.
         """
-        # A block's K and V groups share its ring pointer.
-        pointers = np.repeat(self._ring_pointers, 2)
-        if self._ring_windows is not None:
-            return self._ring_windows[self._ring_rows, pointers]
-        # Fewer cores than heads: the walk hands out each core once in ring
-        # order, then pads every remaining head with the first usable core --
-        # replicate that exactly.
-        size = self._ring_matrix.shape[1]
-        ring = (pointers[:, None] + np.arange(size, dtype=np.int64)) % size
-        part = self._ring_matrix[self._ring_rows[:, None], ring]
-        pad = np.repeat(part[:, :1], len(self._head_range) - size, axis=1)
-        return np.concatenate([part, pad], axis=1)
+        width = self._ring_width
+        order = self._ring_doubled[self._ring_pointer:self._ring_pointer + width]
+        found = order[self._free[order] > self._threshold_blocks]
+        heads = self.arch.kv_heads
+        if len(found) >= heads:
+            return found[:heads]
+        if not len(found):
+            return None
+        return np.concatenate([found, np.repeat(found[:1], heads - len(found))])
 
     def _walk_all_groups(self) -> npt.NDArray[np.int64] | None:
-        """:meth:`_select_cores` for every (block, K/V) group at once.
+        """Per-core accounting's ring walk: :meth:`_select_cores` for every
+        (block, K/V) group at once.
 
-        Each group hands out, in ring order from its block's pointer, the
-        first ``kv_heads`` cores that have not failed and hold more than the
-        threshold free blocks, and pads with the first of them when fewer are
-        usable.  Same shape as :meth:`_select_all_blocks_fast`; None when
-        some group has no usable core.
+        Each group hands out, in ring order from the pointer, the first
+        ``kv_heads`` cores that have not failed and hold more than the
+        threshold free blocks, and pads with the first of them when fewer
+        are usable.  Returns local core indices of shape
+        ``(2 * num_blocks, kv_heads)``, rows alternating K group / V group
+        per block; None when some group has no usable core.
         """
         matrix = self._ring_matrix
-        size = matrix.shape[1]
+        width = self._ring_width
         heads = len(self._head_range)
-        usable = self._free_blocks[matrix] > self._threshold_blocks
+        usable = self._free[matrix] > self._threshold_blocks
         if self._failed_cores:
-            failed = np.zeros(self.num_kv_cores, dtype=bool)
-            failed[[self._core_index[core] for core in sorted(self._failed_cores)]] = True
-            usable &= ~failed[matrix]
-        pointers = np.repeat(self._ring_pointers, 2)
+            usable &= ~self._failed_mask[matrix]
         # Column j: whether the core j steps round the ring from the pointer
         # is usable.
-        in_order = _windows(np.concatenate([usable] * 2, axis=1), size)[
-            self._ring_rows, pointers
-        ]
+        pointer = self._ring_pointer
+        in_order = np.concatenate([usable[:, pointer:], usable[:, :pointer]], axis=1)
         found = in_order.sum(axis=1)
         if not found.all():
             return None
         # A stable sort moves the usable steps to the front, in ring order;
         # heads beyond a group's usable cores reuse its first one.
         steps = np.argsort(~in_order, axis=1, kind="stable")[:, :heads]
-        if size < heads:
+        if width < heads:
             steps = np.concatenate(
-                [steps, np.repeat(steps[:, :1], heads - size, axis=1)], axis=1
+                [steps, np.repeat(steps[:, :1], heads - width, axis=1)], axis=1
             )
         steps = np.where(self._head_range < found[:, None], steps, steps[:, :1])
-        starts = self._ring_rows * (2 * size) + pointers
-        return self._ring_doubled.ravel()[starts[:, None] + steps]
+        return np.take_along_axis(matrix, (pointer + steps) % width, axis=1)
 
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
@@ -437,64 +436,48 @@ class DistributedKVCacheManager:
         if sequence_id in self._allocations:
             raise KVCacheError(f"sequence {sequence_id} is already resident")
         self.last_failure_quota_bound = False
-        heads = self.arch.kv_heads
-        num_blocks = self.arch.num_blocks
 
         if self._tenant_quota_blocks:
             # At admission every sequence reserves exactly one block per
             # (transformer block, KV head, K/V) slot, independent of where the
             # ring places them -- so the quota check can run before any
             # placement work.
-            reserve = 2 * num_blocks * heads
+            reserve = 2 * self.arch.num_blocks * self.arch.kv_heads
             if not self._quota_allows(sequence.tenant, reserve):
                 self.stats.failed_admissions += 1
                 self.stats.quota_rejections += 1
                 self.last_failure_quota_bound = True
                 return False
 
-        # With every core of every group usable the selection is pure ring
-        # arithmetic; otherwise the rings are walked past unusable cores.
-        all_usable = (
-            not self._failed_cores
-            and self._free_blocks[self._grouped_cores].min() > self._threshold_blocks
-        )
-        selection = (
-            self._select_all_blocks_fast() if all_usable else self._walk_all_groups()
-        )
+        if self._columns:
+            selection = self._select_columns()
+            rows = len(self._ring_matrix)  # a column's count holds on every row
+        else:
+            selection = self._walk_all_groups()
+            rows = 1
         if selection is None:
             self.stats.failed_admissions += 1
             return False
-
-        touched: npt.NDArray[np.integer[Any]]
-        touched_counts: npt.NDArray[np.integer[Any]]
-        if all_usable and self._selection_distinct:
-            # One slot on each of distinct cores, every one holding more than
-            # the threshold (>= 0) free blocks: the reservation fits.
-            touched = np.sort(selection, axis=None)
-            touched_counts = np.ones(len(touched), dtype=np.int64)
-            self._reserve(touched, 1, 1)
-        else:
-            counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores)
-            touched = np.nonzero(counts)[0]
-            touched_counts = counts[touched]
-            if (self._free_blocks[touched] < touched_counts).any():
-                self.stats.failed_admissions += 1
-                return False
-            self._reserve(touched, touched_counts, int(touched_counts.max()))
-        total_reserved = int(touched_counts.sum())
+        units, unit_counts = _slot_counts(selection, len(self._free))
+        if (self._free[units] < unit_counts).any():
+            self.stats.failed_admissions += 1
+            return False
+        self._reserve(units, unit_counts, int(unit_counts.max()))
+        total_reserved = rows * int(unit_counts.sum())
         self._free_total -= total_reserved
         self._charge_tenant(sequence.tenant, total_reserved)
         self._allocations[sequence_id] = _SequenceAllocation(
             sequence_id=sequence_id,
-            # astype(copy=False) is a no-op view here (bincount/nonzero yield
-            # intp == int64 on this platform); it only pins the static type.
-            unique_cores=touched.astype(np.int64, copy=False),
-            unique_counts=touched_counts.astype(np.int64, copy=False),
+            units=units,
+            unit_counts=unit_counts,
+            total_slots=total_reserved,
             blocks_per_slot=1,
             tokens=0,
-            placement=self._core_ids_array[selection],
+            placement=(
+                selection if self._columns else self._core_ids_array[selection]
+            ),
         )
-        self._ring_pointers = (self._ring_pointers + heads) % self._ring_matrix.shape[1]
+        self._ring_pointer = (self._ring_pointer + self.arch.kv_heads) % self._ring_width
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
         self._update_peak()
@@ -520,21 +503,18 @@ class DistributedKVCacheManager:
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            cores = allocation.unique_cores
-            required = allocation.per_core(delta)
+            units = allocation.units
+            required = allocation.per_unit(delta)
             most = allocation.max_slots * delta
             if self._free_floor < most:
-                self._free_floor = int(self._free_blocks.min())
-                if self._free_floor < most and (
-                    self._free_blocks[cores] < required
-                ).any():
+                self._free_floor = int(self._free.min())
+                if self._free_floor < most and (self._free[units] < required).any():
                     self.stats.failed_growths += 1
                     return False
-            self._reserve(cores, required, most)
+            self._reserve(units, required, most)
             self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
-            if self._failed_cores:
-                self._free_on_failed -= self._sum_on_failed(allocation, delta)
+            self._free_on_failed -= allocation.failed_slots * delta
             allocation.blocks_per_slot = needed
             self.stats.allocated_blocks += total_required
             # Occupancy only rises when blocks are allocated, so the
@@ -579,52 +559,124 @@ class DistributedKVCacheManager:
         allocation = self._allocations.pop(sequence.sequence_id, None)
         if allocation is None:
             return
-        returned_total = allocation.total_slots * allocation.blocks_per_slot
+        per_slot = allocation.blocks_per_slot
+        returned_total = allocation.total_slots * per_slot
         # ufunc.at: an unbuffered in-place add, cheaper than a fancy-index
-        # gather + scatter (the cores are distinct either way).
-        np.add.at(
-            self._free_blocks,
-            allocation.unique_cores,
-            allocation.per_core(allocation.blocks_per_slot),
-        )
+        # gather + scatter (the units are distinct either way).
+        np.add.at(self._free, allocation.units, allocation.per_unit(per_slot))
         self._free_total += returned_total
         self._charge_tenant(sequence.tenant, -returned_total)
-        if self._failed_cores:
-            self._free_on_failed += self._sum_on_failed(
-                allocation, allocation.blocks_per_slot
-            )
+        self._free_on_failed += allocation.failed_slots * per_slot
         self.stats.released_sequences += 1
         self.stats.released_blocks += returned_total
 
     def _reserve(
         self,
-        cores: npt.NDArray[np.integer[Any]],
+        units: npt.NDArray[np.integer[Any]],
         blocks: npt.NDArray[np.integer[Any]] | int,
         most: int,
     ) -> None:
-        """Take ``blocks`` free blocks from each of the (distinct) ``cores``;
+        """Take ``blocks`` free blocks from each of the (distinct) ``units``;
         ``most`` is the largest per-core amount, which lowers the floor."""
-        np.subtract.at(self._free_blocks, cores, blocks)
+        np.subtract.at(self._free, units, blocks)
         self._free_floor -= most
+
+    # ------------------------------------------------------------ accountings
+
+    def _columns_fit(self) -> bool:
+        """Whether column accounting can hold the state: no core has failed
+        and no core sits in two ring rows (there are at least as many cores
+        as rows)."""
+        return not self._failed_cores and len(self.kv_core_ids) >= len(self._ring_matrix)
+
+    def _placement(self, allocation: _SequenceAllocation) -> npt.NDArray[np.int64]:
+        """Global core id of every slot: one row per (block, K/V), one column
+        per KV head."""
+        if self._columns:
+            return self._core_ids_array[self._ring_matrix[:, allocation.placement]]
+        return allocation.placement
 
     def _placements(self) -> Iterator[tuple[int, npt.NDArray[np.int64]]]:
         """``(sequence id, placement)`` of every resident sequence, in admission
         order -- what the page-table views are built from."""
         return (
-            (allocation.sequence_id, allocation.placement)
+            (allocation.sequence_id, self._placement(allocation))
             for allocation in self._allocations.values()
         )
 
-    def _sum_on_failed(self, allocation: _SequenceAllocation, per_slot: int) -> int:
-        """Blocks of an allocation delta that land on failed cores."""
-        failed_locals = [
-            self._core_index[core_id]
-            for core_id in sorted(self._failed_cores)
-        ]
-        mask = np.isin(allocation.unique_cores, failed_locals)
-        if not mask.any():
-            return 0
-        return int(allocation.unique_counts[mask].sum()) * per_slot
+    def _core_free(self) -> npt.NDArray[np.int64]:
+        """Free blocks of every core, in either accounting."""
+        if not self._columns:
+            return self._free
+        free = np.full(self.num_kv_cores, self.blocks_per_core, dtype=np.int64)
+        free[self._ring_matrix] = self._free
+        return free
+
+    def _core_units(
+        self, allocation: _SequenceAllocation
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """An allocation's touched cores (ascending) and slots on each."""
+        if not self._columns:
+            return allocation.units, allocation.unit_counts
+        rows = len(self._ring_matrix)
+        return (
+            self._ring_matrix[:, allocation.units].ravel(),
+            np.tile(allocation.unit_counts, rows),
+        )
+
+    def _leave_columns(self) -> None:
+        """Expand column accounting to per-core accounting (no-op if already)."""
+        if not self._columns:
+            return
+        for allocation in self._allocations.values():
+            placement = self._placement(allocation)
+            allocation.units, allocation.unit_counts = self._core_units(allocation)
+            allocation.placement = placement
+        self._free = self._core_free()
+        self._columns = False
+
+    def _enter_columns(self) -> None:
+        """Fold per-core accounting back into column accounting, when the
+        layout allows it and every ring row holds the same occupancy."""
+        if self._columns or not self._columns_fit():
+            return
+        rows, width = self._ring_matrix.shape
+        # The ring rows tile the first rows x width cores in order, so row 0
+        # holds cores 0 .. width - 1 and a core there is its own column.
+        per_row = self._free[: rows * width].reshape(rows, width)
+        if (per_row != per_row[0]).any() or (
+            self._free[rows * width:] != self.blocks_per_core
+        ).any():
+            return
+        folded = []
+        for allocation in self._allocations.values():
+            # A column allocation follows from its head columns alone: rebuild
+            # it from them, and fold only if it gives back the per-core record.
+            columns = np.asarray(
+                [
+                    self._core_index.get(core, width)
+                    for core in allocation.placement[0].tolist()
+                ],
+                dtype=np.int64,
+            )
+            if (columns >= width).any():
+                return
+            units, counts = _slot_counts(columns, width)
+            if not (
+                np.array_equal(self._ring_matrix[:, units].ravel(), allocation.units)
+                and np.array_equal(np.tile(counts, rows), allocation.unit_counts)
+                and np.array_equal(
+                    self._core_ids_array[self._ring_matrix[:, columns]],
+                    allocation.placement,
+                )
+            ):
+                return
+            folded.append((allocation, units, counts, columns))
+        for allocation, units, counts, columns in folded:
+            allocation.units, allocation.unit_counts = units, counts
+            allocation.placement = columns
+        self._free = per_row[0].copy()
+        self._columns = True
 
     # ---------------------------------------------------------------- failures
 
@@ -636,15 +688,20 @@ class DistributedKVCacheManager:
         """
         if core_id not in self._core_index:
             raise KVCacheError(f"core {core_id} is not a KV core")
+        self._leave_columns()
         local = self._core_index[core_id]
-        if core_id not in self._failed_cores:
-            self._free_on_failed += int(self._free_blocks[local])
-        self._failed_cores.add(core_id)
-        affected = [
-            allocation.sequence_id
-            for allocation in self._allocations.values()
-            if bool((allocation.unique_cores == local).any())
-        ]
+        newly_failed = core_id not in self._failed_cores
+        if newly_failed:
+            self._free_on_failed += int(self._free[local])
+            self._failed_cores.add(core_id)
+            self._failed_mask[local] = True
+        affected = []
+        for allocation in self._allocations.values():
+            on_core = allocation.units == local
+            if on_core.any():
+                affected.append(allocation.sequence_id)
+                if newly_failed:
+                    allocation.failed_slots += int(allocation.unit_counts[on_core].sum())
         return affected
 
     @property
@@ -660,11 +717,16 @@ class DistributedKVCacheManager:
         """
         if core_id not in self._core_index:
             raise KVCacheError(f"core {core_id} is not a KV core")
-        local = self._core_index[core_id]
+        unit = self._core_index[core_id]
+        if self._columns:
+            width = self._ring_width
+            if unit >= width * len(self._ring_matrix):
+                return []  # outside every ring row: never allocated
+            unit %= width
         return [
             allocation.sequence_id
             for allocation in self._allocations.values()
-            if bool((allocation.unique_cores == local).any())
+            if unit in allocation.units
         ]
 
     # -------------------------------------------------------------- checkpoint
@@ -672,25 +734,27 @@ class DistributedKVCacheManager:
     def snapshot_state(self) -> dict[str, Any]:
         """JSON-able occupancy state for a bit-for-bit checkpoint.
 
-        Derived vectorised state (group arrays/matrices, running caches) is
-        rebuilt by ``__init__`` deterministically from the configuration and
-        is deliberately not part of the snapshot.
+        Always the per-core view, whichever accounting is active.  Derived
+        state (the ring layout, running caches) is rebuilt by ``__init__``
+        deterministically from the configuration and is deliberately not
+        part of the snapshot.
         """
+        allocations = []
+        for allocation in self._allocations.values():
+            cores, counts = self._core_units(allocation)
+            allocations.append([
+                allocation.sequence_id,
+                {
+                    "cores": cores.tolist(),
+                    "counts": counts.tolist(),
+                    "blocks_per_slot": allocation.blocks_per_slot,
+                    "tokens": allocation.tokens,
+                },
+            ])
         return {
-            "free_blocks": self._free_blocks.tolist(),
-            "allocations": [
-                [
-                    allocation.sequence_id,
-                    {
-                        "cores": allocation.unique_cores.tolist(),
-                        "counts": allocation.unique_counts.tolist(),
-                        "blocks_per_slot": allocation.blocks_per_slot,
-                        "tokens": allocation.tokens,
-                    },
-                ]
-                for allocation in self._allocations.values()
-            ],
-            "ring_pointers": self._ring_pointers.tolist(),
+            "free_blocks": self._core_free().tolist(),
+            "allocations": allocations,
+            "ring_pointers": [self._ring_pointer] * self.arch.num_blocks,
             "page_tables": self.page_tables.snapshot_state(),
             "failed_cores": sorted(self._failed_cores),
             "free_total": self._free_total,
@@ -701,28 +765,42 @@ class DistributedKVCacheManager:
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self._free_blocks = np.asarray(state["free_blocks"], dtype=np.int64)
+        pointers = set(state["ring_pointers"])
+        if len(pointers) != 1:
+            raise KVCacheError(
+                "the ring pointers of every block advance together; the "
+                f"checkpoint holds {sorted(pointers)}"
+            )
+        self._ring_pointer = int(pointers.pop())
+        self._columns = False
+        self._free = np.asarray(state["free_blocks"], dtype=np.int64)
+        self._failed_cores = set(state["failed_cores"])
+        self._failed_mask[:] = False
+        for core in sorted(self._failed_cores):
+            self._failed_mask[self._core_index[core]] = True
         placements = PlacementPageTables.placements_from_state(state["page_tables"])
-        self._allocations = {
-            sequence_id: _SequenceAllocation(
+        self._allocations = {}
+        for sequence_id, data in state["allocations"]:
+            cores = np.asarray(data["cores"], dtype=np.int64)
+            counts = np.asarray(data["counts"], dtype=np.int64)
+            self._allocations[sequence_id] = _SequenceAllocation(
                 sequence_id=sequence_id,
-                unique_cores=np.asarray(data["cores"], dtype=np.int64),
-                unique_counts=np.asarray(data["counts"], dtype=np.int64),
+                units=cores,
+                unit_counts=counts,
+                total_slots=int(counts.sum()),
                 blocks_per_slot=data["blocks_per_slot"],
                 tokens=data["tokens"],
                 placement=placements[sequence_id],
+                failed_slots=int(counts[self._failed_mask[cores]].sum()),
             )
-            for sequence_id, data in state["allocations"]
-        }
-        self._ring_pointers = np.asarray(state["ring_pointers"], dtype=np.int64)
-        self._free_floor = int(self._free_blocks.min())
-        self._failed_cores = set(state["failed_cores"])
         self._free_total = state["free_total"]
         self._free_on_failed = state["free_on_failed"]
         self._tenant_used = dict(state.get("tenant_used", {}))
         self.set_tenant_quotas(dict(state.get("tenant_quotas", {})))
         self.last_failure_quota_bound = False
         self.stats = KVCacheStats(**state["stats"])
+        self._enter_columns()
+        self._free_floor = int(self._free.min())
 
     # ------------------------------------------------------------------ private
 

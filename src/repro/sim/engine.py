@@ -207,11 +207,14 @@ class BuiltOuroboros:
         """
         if not isinstance(kv_manager, DistributedKVCacheManager):
             return None
-        manager = FaultToleranceManager(
-            self.wafers[0], self.mappings[0], kv_manager=kv_manager
-        )
+        manager: FaultToleranceManager | None = None
 
         def recover(target: int) -> RemappingResult | None:
+            nonlocal manager
+            if manager is None:  # built at the first weight-core fault
+                manager = FaultToleranceManager(
+                    self.wafers[0], self.mappings[0], kv_manager=kv_manager
+                )
             healthy = sorted(manager.weight_cores - manager.failed_cores)
             if not healthy:
                 return None
@@ -328,7 +331,8 @@ def _build_kv_manager(
     kv_core_ids: list[int] = []
     for index, mapping in enumerate(mappings):
         offset = index * 10**6  # disjoint core-id space per wafer
-        kv_core_ids.extend(core + offset for core in mapping.kv_core_ids)
+        cores = mapping.kv_core_ids
+        kv_core_ids.extend([core + offset for core in cores] if offset else cores)
     if not kv_core_ids:
         raise MappingError("mapping left no cores for the KV cache")
     if config.kv_policy is KVPolicy.STATIC:

@@ -4,12 +4,23 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import api
 from repro.errors import ConfigurationError, KVCacheError
+from repro.experiments.common import DECODER_MODELS, ExperimentSettings
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.kvcache.pagetable import PageTable
 from repro.kvcache.static import StaticKVCacheManager
+from repro.pipeline.checkpoint import EngineCheckpoint
+from repro.pipeline.engine import PipelineConfig
+from repro.pipeline.stages import TokenCostModel
+from repro.pipeline.tgp import TokenGrainedPipeline
+from repro.sim.faults import FaultEvent, FaultPlan
 from repro.workload.requests import Request, Sequence
+
+from .test_engine_equivalence import mixed_trace
 
 #: page tables and checkpoint of a fixed admit/grow/release scenario, recorded
 #: while the manager still kept one page-table object per transformer block
@@ -238,21 +249,38 @@ class TestSizingEdgeCases:
 
 
 class TestRingSelectionEquivalence:
+    """Admission's ring walks -- over the columns under column accounting,
+    over every group's cores under per-core accounting -- hand out exactly
+    what the per-group reference walk ``_select_cores`` does."""
+
+    @staticmethod
+    def _reference(manager, heads):
+        pointer = manager._ring_pointer
+        return [
+            manager._select_cores(row, pointer, heads)
+            for row in manager._ring_matrix.tolist()
+        ]
+
+    @staticmethod
+    def _selection(manager):
+        """The cores the next admission takes, one row per (block, K/V)."""
+        if manager._columns:
+            columns = manager._select_columns()
+            return None if columns is None else manager._ring_matrix[:, columns]
+        return manager._walk_all_groups()
+
     def test_fast_selection_matches_walk_when_heads_exceed_group(self, tiny_arch):
-        # 8 cores / 4 groups -> group size 2 < kv_heads: the fast path must
+        # 8 cores / 4 groups -> group size 2 < kv_heads: the column walk must
         # reproduce the walk's pad-with-first-usable behaviour exactly.
         manager = DistributedKVCacheManager(
             tiny_arch, kv_core_ids=list(range(8)), blocks_per_core=16
         )
         heads = tiny_arch.kv_heads
-        assert heads > len(manager._k_groups[0])
-        fast = manager._select_all_blocks_fast()
-        for block in range(tiny_arch.num_blocks):
-            pointer = manager._ring_pointers[block]
-            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads)
-            walk_v = manager._select_cores(manager._v_groups[block], pointer, heads)
-            assert fast[2 * block].tolist() == walk_k
-            assert fast[2 * block + 1].tolist() == walk_v
+        assert manager._columns
+        assert heads > manager._ring_width
+        for admitted in range(3):
+            assert self._selection(manager).tolist() == self._reference(manager, heads)
+            assert manager.try_admit(make_sequence(admitted))
 
     @pytest.mark.parametrize("kv_cores", [8, 32])
     def test_group_walk_matches_per_group_walk(self, tiny_arch, kv_cores):
@@ -268,27 +296,49 @@ class TestRingSelectionEquivalence:
             admitted += 1
             if admitted % 3 == 0:
                 manager.fail_core(manager.kv_core_ids[admitted % kv_cores])
-            walked = manager._walk_all_groups()
-            expected = []
-            for block in range(tiny_arch.num_blocks):
-                pointer = int(manager._ring_pointers[block])
-                expected.append(manager._select_cores(manager._k_groups[block], pointer, heads))
-                expected.append(manager._select_cores(manager._v_groups[block], pointer, heads))
+            walked = self._selection(manager)
+            expected = self._reference(manager, heads)
             if walked is None:
                 assert None in expected
             else:
                 assert walked.tolist() == expected
         assert admitted > 1
         assert manager.failed_cores
+        assert not manager._columns
 
     def test_fast_selection_matches_walk_after_pointer_advance(self, manager, tiny_arch):
-        manager.try_admit(make_sequence(0))  # advances every ring pointer
         heads = tiny_arch.kv_heads
-        fast = manager._select_all_blocks_fast()
-        for block in range(tiny_arch.num_blocks):
-            pointer = manager._ring_pointers[block]
-            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads)
-            assert fast[2 * block].tolist() == walk_k
+        for admitted in range(5):  # the pointer wraps round the 8-wide ring
+            manager.try_admit(make_sequence(admitted))
+            assert manager._columns
+            assert self._selection(manager).tolist() == self._reference(manager, heads)
+
+    @pytest.mark.parametrize("kv_cores", [16, 42])
+    def test_column_walk_skips_starved_columns(self, tiny_arch, kv_cores):
+        """Above a threshold the column walk skips full columns, padding when
+        fewer than ``kv_heads`` remain, until none is usable."""
+        manager = DistributedKVCacheManager(
+            tiny_arch, kv_core_ids=list(range(kv_cores)), blocks_per_core=8,
+            threshold=0.25,
+        )
+        heads = tiny_arch.kv_heads
+        sequences = [make_sequence(i) for i in range(200)]
+        admitted = 0
+        while True:
+            walked = self._selection(manager)
+            expected = self._reference(manager, heads)
+            if walked is None:
+                assert expected == [None] * len(expected)
+                break
+            assert walked.tolist() == expected
+            assert manager.try_admit(sequences[admitted])
+            # Uneven growth starves some columns before others.
+            manager.append_tokens(
+                sequences[admitted], (admitted % 3) * manager.tokens_per_block
+            )
+            admitted += 1
+        assert manager._columns
+        assert not manager.try_admit(sequences[admitted])
 
 
 class TestPageTableCheckpointContract:
@@ -547,3 +597,257 @@ class TestTenantQuotas:
         manager.release(seq)
         assert manager.tenant_used_blocks("batch") == 0
         assert manager.try_admit(make_sequence(2, tenant="batch"))
+
+
+class PerCoreManager(DistributedKVCacheManager):
+    """The manager held in per-core accounting for its whole life."""
+
+    def _columns_fit(self) -> bool:
+        return False
+
+
+#: the tiny arch's 4 ring rows over these many cores are 2 (< kv_heads), 4
+#: (== kv_heads), 8 and 10 cores wide; at 42 two cores sit outside every row
+DIFFERENTIAL_CORES = (8, 16, 32, 42)
+
+
+#: operations of a differential scenario, admissions and growth weighted up
+KV_OPERATIONS = (
+    "admit", "admit", "append", "append", "release", "on_core", "fail", "restore",
+)
+
+
+@st.composite
+def kv_scenarios(draw):
+    """A manager configuration plus a random operation sequence on it; each
+    operation carries two numbers that pick its sequence, core or size."""
+    config = {
+        "cores": draw(st.sampled_from(DIFFERENTIAL_CORES)),
+        "blocks_per_core": draw(st.sampled_from([3, 6, 16])),
+        "threshold": draw(st.sampled_from([0.0, 0.25, 0.5])),
+        "quota": draw(st.sampled_from([None, 0.2, 0.5])),
+    }
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(KV_OPERATIONS), st.integers(0, 1000), st.integers(0, 600)
+        ),
+        max_size=40,
+    ))
+    return config, ops
+
+
+class TestColumnAccountingDifferential:
+    """Column accounting against per-core accounting on the same operations.
+
+    Both engine paths share one KV manager, so fast == scalar cannot catch an
+    accounting bug; this holds every answer and every state of the column
+    accounting (and its switch to per-core at the first failed core) equal
+    to a manager kept per-core from the start.
+    """
+
+    @staticmethod
+    def _build(manager_cls, tiny_arch, config):
+        manager = manager_cls(
+            tiny_arch, kv_core_ids=list(range(100, 100 + config["cores"])),
+            blocks_per_core=config["blocks_per_core"], threshold=config["threshold"],
+        )
+        if config["quota"] is not None:
+            manager.set_tenant_quotas({"a": config["quota"]})
+        return manager
+
+    @staticmethod
+    def _assert_same(columns, per_core):
+        assert columns.stats.as_dict() == per_core.stats.as_dict()
+        assert columns.used_blocks == per_core.used_blocks
+        assert columns.last_failure_quota_bound == per_core.last_failure_quota_bound
+        residents = columns.resident_sequences
+        assert residents == per_core.resident_sequences
+        for seq_id in residents:
+            assert columns.blocks_held(seq_id) == per_core.blocks_held(seq_id)
+        for ours, theirs in zip(columns.page_tables, per_core.page_tables):
+            for seq_id in residents:
+                assert ours.lookup(seq_id) == theirs.lookup(seq_id)
+        state = columns.snapshot_state()
+        assert state == per_core.snapshot_state()
+        # Conservation, per core: free + held == capacity, never below zero,
+        # and the healthy cores' free blocks are what ``used_blocks`` omits.
+        held = [0] * columns.num_kv_cores
+        for _, allocation in state["allocations"]:
+            for core, count in zip(allocation["cores"], allocation["counts"]):
+                held[core] += count * allocation["blocks_per_slot"]
+        free = state["free_blocks"]
+        assert min(free) >= 0
+        assert all(f + h == columns.blocks_per_core for f, h in zip(free, held))
+        healthy_free = sum(
+            f for core, f in zip(columns.kv_core_ids, free)
+            if core not in columns.failed_cores
+        )
+        assert columns.used_blocks == columns.total_blocks - healthy_free
+        # Column accounting holds exactly until the first failed core.
+        assert columns._columns == (not columns.failed_cores)
+        assert not per_core._columns
+
+    @given(scenario=kv_scenarios())
+    # tiny_arch is a frozen dataclass: sharing it across examples is safe.
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_matches_per_core_accounting(self, tiny_arch, scenario):
+        config, ops = scenario
+        managers = [
+            self._build(cls, tiny_arch, config)
+            for cls in (DistributedKVCacheManager, PerCoreManager)
+        ]
+        resident: dict[int, Sequence] = {}
+        for admitted, (kind, pick, amount) in enumerate(ops):
+            chosen = sorted(resident)[pick % len(resident)] if resident else None
+            core = 100 + pick % config["cores"]
+            if kind == "admit":
+                sequence = make_sequence(admitted, tenant="ab"[pick % 2])
+                answers = [manager.try_admit(sequence) for manager in managers]
+                if answers[0]:
+                    resident[admitted] = sequence
+            elif kind == "append" and chosen is not None:
+                answers = [
+                    manager.append_tokens(resident[chosen], amount) for manager in managers
+                ]
+            elif kind == "release":
+                sequence = resident.pop(chosen) if chosen is not None else make_sequence(-1)
+                answers = [manager.release(sequence) for manager in managers]
+            elif kind == "on_core":
+                answers = [manager.sequences_on_core(core) for manager in managers]
+            elif kind == "fail":
+                answers = [manager.fail_core(core) for manager in managers]
+            elif kind == "restore":
+                states = [json.loads(json.dumps(m.snapshot_state())) for m in managers]
+                managers = [
+                    self._build(type(manager), tiny_arch, config) for manager in managers
+                ]
+                for manager, state in zip(managers, states):
+                    manager.restore_state(state)
+                answers = [None, None]
+            else:
+                continue
+            assert answers[0] == answers[1]
+            self._assert_same(*managers)
+
+    def test_restore_rejects_unequal_ring_pointers(self, manager):
+        manager.try_admit(make_sequence(0))
+        state = manager.snapshot_state()
+        state["ring_pointers"][0] += 1
+        with pytest.raises(KVCacheError):
+            manager.restore_state(state)
+
+    @staticmethod
+    def _uneven_free_blocks(state):
+        state["free_blocks"][0] -= 1
+        state["free_total"] -= 1
+
+    @staticmethod
+    def _head_outside_row_zero(state):
+        # Block 0's K row is ring row 0 (cores 0-7); core 8 opens row 1.
+        state["page_tables"][0][0][1][0] = 8
+
+    @staticmethod
+    def _v_head_off_its_column(state):
+        # Block 0's V row is ring row 1 (cores 8-15): head 0 moves from the
+        # first column to the second while its K core stays put.
+        state["page_tables"][0][0][2][0] = 9
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["_uneven_free_blocks", "_head_outside_row_zero", "_v_head_off_its_column"],
+    )
+    def test_restore_keeps_asymmetric_state_per_core(self, manager, corrupt):
+        """A checkpoint whose ring rows differ, though no core failed, is
+        restored into per-core accounting rather than folded."""
+        manager.try_admit(make_sequence(0))
+        state = manager.snapshot_state()
+        getattr(self, corrupt)(state)
+        manager.restore_state(state)
+        assert not manager._columns
+        assert manager.snapshot_state() == state
+
+    def test_restore_reenters_columns_without_failures(self, manager):
+        for seq_id in range(3):
+            manager.try_admit(make_sequence(seq_id))
+        state = manager.snapshot_state()
+        manager.fail_core(manager.kv_core_ids[0])
+        assert not manager._columns
+        manager.restore_state(state)
+        assert manager._columns
+        assert manager.snapshot_state() == state
+
+
+class TestAccountingSwitchEndToEnd:
+    """A served run whose fault plan fails a KV core mid-run switches the
+    column accounting to per-core; straight through, or resumed from a
+    checkpoint taken before or after the failure, it equals the run kept
+    per-core from the start."""
+
+    #: one KV-core failure at this simulated time, mid-run
+    FAULT_S = 0.0008
+    #: suspension epochs on either side of the failure (it lands in epoch 5)
+    BEFORE, AFTER = 3, 8
+
+    @staticmethod
+    def _engine(manager_cls, tiny_arch, small_wafer_config):
+        kv_manager = manager_cls(
+            tiny_arch, kv_core_ids=list(range(48)), blocks_per_core=32
+        )
+        cost_model = TokenCostModel(arch=tiny_arch, wafer_config=small_wafer_config)
+        config = PipelineConfig(chunk_tokens=32, context_quantum=32, max_active_sequences=6)
+        return TokenGrainedPipeline(tiny_arch, cost_model, kv_manager, config=config)
+
+    def _serve(self, manager_cls, tiny_arch, small_wafer_config, **kwargs):
+        engine = self._engine(manager_cls, tiny_arch, small_wafer_config)
+        plan = FaultPlan([FaultEvent(time_s=self.FAULT_S, kind="kv_core", target=5)])
+        outcome = engine.run(mixed_trace(num_requests=24), fault_plan=plan, **kwargs)
+        return outcome, engine.kv_manager
+
+    @staticmethod
+    def _fingerprint(result, kv_manager):
+        return (
+            json.dumps(result.as_dict(), sort_keys=True, default=repr),
+            kv_manager.stats.as_dict(),
+            kv_manager.snapshot_state(),
+        )
+
+    def test_switch_matches_per_core_run(self, tiny_arch, small_wafer_config):
+        reference = self._fingerprint(
+            *self._serve(PerCoreManager, tiny_arch, small_wafer_config)
+        )
+        result, kv_manager = self._serve(
+            DistributedKVCacheManager, tiny_arch, small_wafer_config
+        )
+        assert result.faults.kv_core_failures == 1
+        assert result.faults.recovered_sequences > 0
+        assert kv_manager.failed_cores and not kv_manager._columns
+        assert self._fingerprint(result, kv_manager) == reference
+        for epoch, failed in ((self.BEFORE, False), (self.AFTER, True)):
+            checkpoint, _ = self._serve(
+                DistributedKVCacheManager, tiny_arch, small_wafer_config,
+                suspend_at_epoch=epoch,
+            )
+            assert isinstance(checkpoint, EngineCheckpoint)
+            assert bool(checkpoint.kv["failed_cores"]) == failed
+            restored = EngineCheckpoint.from_dict(
+                json.loads(json.dumps(checkpoint.as_dict()))
+            )
+            resumed = self._serve(
+                DistributedKVCacheManager, tiny_arch, small_wafer_config,
+                resume_from=restored,
+            )
+            assert self._fingerprint(*resumed) == reference
+
+
+@pytest.mark.parametrize("model", DECODER_MODELS)
+def test_default_builds_start_in_column_accounting(model):
+    """The paper's decoder models get the column accounting by default; a
+    layout change that silently fell back to per-core would fail here."""
+    spec = ExperimentSettings(num_requests=1).deployment(model, "wikitext2")
+    kv_manager = api.build_deployment(spec).built.make_pipeline().kv_manager
+    assert isinstance(kv_manager, DistributedKVCacheManager)
+    assert kv_manager._columns
+    assert len(kv_manager._free) == kv_manager._ring_width
