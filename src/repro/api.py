@@ -775,9 +775,12 @@ def preset(name: str) -> DeploymentSpec:
 #: built systems keyed by the system-relevant part of the spec; one build per
 #: distinct (model, system, config) replaces the historical ad-hoc
 #: build-once-per-model loops in the sweep runner and experiment drivers.
-#: Bounded LRU: built Ouroboros systems hold wafers/mappings/defect maps, so
-#: long multi-config sweeps must not accumulate them without limit.
+#: Built Ouroboros systems hold wafers/mappings/defect maps, so long
+#: multi-config sweeps must not accumulate them without limit: they form a
+#: bounded LRU.  The analytical baselines hold none of that and are not
+#: counted, so a grid's baselines never evict the builds it serves on.
 _SYSTEM_CACHE: dict[str, ServingSystem] = {}
+#: most memoised systems that hold a built wafer
 _SYSTEM_CACHE_MAX = 16
 #: guards the memo dict: daemon fleets and threaded sweeps build concurrently,
 #: and the pop/re-insert LRU dance is not atomic on its own
@@ -824,8 +827,13 @@ def build_deployment(spec: DeploymentSpec, *, cache: bool = True) -> ServingSyst
         if existing is not None:
             system = existing  # a concurrent builder won; keep one canonical
         _SYSTEM_CACHE[key] = system
-        while len(_SYSTEM_CACHE) > _SYSTEM_CACHE_MAX:
-            _SYSTEM_CACHE.pop(next(iter(_SYSTEM_CACHE)))
+        if isinstance(system, OuroborosSystem):
+            with_wafers = [
+                held for held, entry in _SYSTEM_CACHE.items()
+                if isinstance(entry, OuroborosSystem)
+            ]
+            for stale in with_wafers[:-_SYSTEM_CACHE_MAX]:
+                del _SYSTEM_CACHE[stale]
     return system
 
 

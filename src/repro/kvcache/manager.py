@@ -39,11 +39,15 @@ per-core view; restoring one in which no core had failed re-enters the
 column accounting.
 
 Token growth is split by what it costs.  Most growth stays inside the
-sequence's last logical block and only counts tokens; the serving engine asks
-:meth:`DistributedKVCacheManager.growth_events` once per epoch which
-sequences cross a block boundary, sends only those through
+sequence's last logical block and only counts tokens.  A growth that crosses
+a block boundary allocates, but it cannot fail while no tenant quota is set
+and the free floor covers every crossing of the epoch at once.  The serving
+engine asks :meth:`DistributedKVCacheManager.growth_events` once per epoch
+which growths could fail (all crossings, when the floor falls short or a
+quota is set), sends only those through
 :meth:`~DistributedKVCacheManager.append_tokens`, and records the rest with
-one :meth:`~DistributedKVCacheManager.commit_tokens` call.
+:meth:`~DistributedKVCacheManager.commit_tokens` calls that allocate their
+crossings together: they are commits, not events.
 """
 
 from __future__ import annotations
@@ -193,6 +197,10 @@ class DistributedKVCacheManager:
         #: reservation and re-measured only when a growth needs more: while it
         #: covers a growth, no touched core can be short of blocks
         self._free_floor = blocks_per_core
+        #: no resident allocation holds more slots on one unit than this (a
+        #: running maximum): a growth of ``delta`` blocks per slot takes at
+        #: most ``_slots_bound * delta`` blocks from any one unit
+        self._slots_bound = 0
         self._threshold_blocks = int(self.threshold * blocks_per_core)
         self._block_bytes = self.tokens_per_block * arch.head_dim * self.element_bytes
 
@@ -462,21 +470,23 @@ class DistributedKVCacheManager:
         if (self._free[units] < unit_counts).any():
             self.stats.failed_admissions += 1
             return False
-        self._reserve(units, unit_counts, int(unit_counts.max()))
-        total_reserved = rows * int(unit_counts.sum())
-        self._free_total -= total_reserved
-        self._charge_tenant(sequence.tenant, total_reserved)
-        self._allocations[sequence_id] = _SequenceAllocation(
+        allocation = _SequenceAllocation(
             sequence_id=sequence_id,
             units=units,
             unit_counts=unit_counts,
-            total_slots=total_reserved,
+            total_slots=rows * int(unit_counts.sum()),
             blocks_per_slot=1,
             tokens=0,
             placement=(
                 selection if self._columns else self._core_ids_array[selection]
             ),
         )
+        total_reserved = allocation.total_slots
+        self._reserve(units, unit_counts, allocation.max_slots)
+        self._free_total -= total_reserved
+        self._charge_tenant(sequence.tenant, total_reserved)
+        self._allocations[sequence_id] = allocation
+        self._slots_bound = max(self._slots_bound, allocation.max_slots)
         self._ring_pointer = (self._ring_pointer + self.arch.kv_heads) % self._ring_width
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
@@ -503,23 +513,16 @@ class DistributedKVCacheManager:
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            units = allocation.units
-            required = allocation.per_unit(delta)
             most = allocation.max_slots * delta
             if self._free_floor < most:
                 self._free_floor = int(self._free.min())
-                if self._free_floor < most and (self._free[units] < required).any():
+                if self._free_floor < most and (
+                    self._free[allocation.units] < allocation.per_unit(delta)
+                ).any():
                     self.stats.failed_growths += 1
                     return False
-            self._reserve(units, required, most)
-            self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
-            self._free_on_failed -= allocation.failed_slots * delta
-            allocation.blocks_per_slot = needed
-            self.stats.allocated_blocks += total_required
-            # Occupancy only rises when blocks are allocated, so the
-            # high-water mark is only ever raised here and at admission.
-            self._update_peak()
+            self._grow([(allocation, delta)])
         allocation.tokens = new_tokens
         return True
 
@@ -530,29 +533,59 @@ class DistributedKVCacheManager:
     def growth_events(
         self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
     ) -> npt.NDArray[np.bool_]:
-        """Which growths would allocate blocks (or fail), as one array query.
+        """Which growths must go through :meth:`append_tokens`, as one array query.
 
         ``cached[i]`` is the token count resident sequence *i* holds and
-        ``counts[i]`` the tokens it is about to append.  Entry *i* is True
-        when :meth:`append_tokens` would have to reserve another logical
-        block per slot -- the growth crosses a block boundary -- and False
-        when it only counts tokens, which :meth:`commit_tokens` does for a
-        whole batch of sequences at once.
+        ``counts[i]`` the tokens it is about to append.  A growth that stays
+        inside the last logical block only counts tokens.  One that crosses
+        a block boundary reserves another block per slot, and it is an event
+        (True) only while it could fail or must be charged to a tenant: when
+        any tenant quota is set, or when the free floor -- re-measured once
+        if needed -- cannot cover every crossing of the batch together, at
+        the most blocks any one allocation takes from one unit.  Otherwise
+        no growth of the batch can fail, in any order, and
+        :meth:`commit_tokens` allocates the crossings itself.
         """
+        # Blocks per slot for n tokens: ceil(max(n, 1) / per_block).
         per_block = self.tokens_per_block
-        held = np.maximum(1, -(-cached // per_block))
-        needed = np.maximum(1, -(-(cached + counts) // per_block))
-        return needed > held
+        held = np.maximum(cached, 1)
+        held += per_block - 1
+        held //= per_block
+        deltas = cached + counts
+        np.maximum(deltas, 1, out=deltas)
+        deltas += per_block - 1
+        deltas //= per_block
+        deltas -= held
+        if not self._tenant_quota_blocks:
+            worst = self._slots_bound * int(np.add.reduce(deltas))
+            if self._free_floor < worst:
+                self._free_floor = int(self._free.min())
+            if self._free_floor >= worst:
+                return np.zeros(len(deltas), dtype=bool)
+        return deltas > 0
 
     def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
-        """Record growth that :meth:`growth_events` reported as block-free.
+        """Record growths that :meth:`growth_events` reported as no event.
 
         Equivalent to ``append_tokens(sequence, count)`` returning True for
-        every pair: no block is allocated, so only the token counts change.
+        every pair in order.  The growths that cross a block boundary are
+        allocated together: one scatter into the free blocks and one
+        high-water-mark update, which is exact because occupancy only rises
+        within the batch.
         """
         allocations = self._allocations
+        per_block = self.tokens_per_block
+        crossings = []
         for sequence, count in zip(sequences, counts):
-            allocations[sequence.sequence_id].tokens += count
+            allocation = allocations[sequence.request.request_id]
+            allocation.tokens += count
+            if allocation.tokens > allocation.blocks_per_slot * per_block:
+                crossings.append(allocation)
+        if crossings:
+            self._grow([
+                (allocation, -(-allocation.tokens // per_block) - allocation.blocks_per_slot)
+                for allocation in crossings
+            ])
 
     def release(self, sequence: Sequence) -> None:
         """Free every block held by a sequence (completion or eviction)."""
@@ -576,10 +609,37 @@ class DistributedKVCacheManager:
         blocks: npt.NDArray[np.integer[Any]] | int,
         most: int,
     ) -> None:
-        """Take ``blocks`` free blocks from each of the (distinct) ``units``;
-        ``most`` is the largest per-core amount, which lowers the floor."""
+        """Take ``blocks`` free blocks from each of the ``units``; ``most``
+        bounds what any one unit loses, which lowers the floor."""
         np.subtract.at(self._free, units, blocks)
         self._free_floor -= most
+
+    def _grow(self, growths: list[tuple[_SequenceAllocation, int]]) -> None:
+        """Add ``delta`` blocks per slot to each ``(allocation, delta)``, once
+        the caller knows every growth fits: one scatter, one peak update."""
+        if len(growths) == 1:
+            allocation, delta = growths[0]
+            units = allocation.units
+            blocks = allocation.per_unit(delta)
+        else:
+            units = np.concatenate([allocation.units for allocation, _ in growths])
+            blocks = np.concatenate([
+                allocation.unit_counts if delta == 1 else allocation.unit_counts * delta
+                for allocation, delta in growths
+            ])
+        total = failed = most = 0
+        for allocation, delta in growths:
+            total += allocation.total_slots * delta
+            failed += allocation.failed_slots * delta
+            most += allocation.max_slots * delta
+            allocation.blocks_per_slot += delta
+        self._reserve(units, blocks, most)
+        self._free_total -= total
+        self._free_on_failed -= failed
+        self.stats.allocated_blocks += total
+        # Occupancy only rises when blocks are allocated, so the high-water
+        # mark is only ever raised here and at admission.
+        self._update_peak()
 
     # ------------------------------------------------------------ accountings
 
@@ -801,6 +861,10 @@ class DistributedKVCacheManager:
         self.stats = KVCacheStats(**state["stats"])
         self._enter_columns()
         self._free_floor = int(self._free.min())
+        self._slots_bound = max(
+            (allocation.max_slots for allocation in self._allocations.values()),
+            default=0,
+        )
 
     # ------------------------------------------------------------------ private
 

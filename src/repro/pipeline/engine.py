@@ -42,18 +42,26 @@ Latency accounting is tenant-aware: every request carries a ``tenant`` id and
 Two implementations of the epoch loop exist, as two per-epoch *advance
 strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
 
-* :meth:`PipelineEngine.run` -- the fast path.  Every epoch the shared
-  planner materialises the active sequences' integer state (remaining
-  prefill/decode, context, budgets) as flat numpy arrays in one pass, and the
-  advance is *event-driven*: one array query to the KV provider finds the
-  sequences whose growth allocates a block (or fails), and only those, the
+* :meth:`PipelineEngine.run` -- the fast path.  The shared planner holds
+  the active sequences' integer state (remaining prefill/decode, context,
+  generated and prompt tokens) as the rows of one numpy array.  The fast
+  path *carries* those rows across epochs: after each epoch it advances the
+  rows of the sequences left active by their takes, and the next plan reads
+  only the sequences admitted since -- unless a sequence left the active
+  set in between (the scheduler's ``departures`` counter moved), in which
+  case it reads them all again.  The advance is *event-driven*: one array
+  query to the KV provider finds the growths it cannot commit in bulk (ones
+  that may fail or must be charged to a tenant quota), and only those, the
   sequences finishing prefill and the completing ones go through the
   per-sequence ``grow_sequence`` -> ``apply_advance`` -> ``complete`` calls,
-  in snapshot order.  Every other sequence gets a plain token-count commit,
-  so eviction order, mid-epoch KV releases and the KV high-water mark are
-  exactly the scalar path's.  The epoch tally (tokens, context-weighted
-  tokens, per-quantized-context energy bins, prefill segments, first
-  decoders) is computed once from the plan's arrays.
+  in snapshot order.  Every other sequence gets a plain commit -- the block
+  crossings among them allocated together -- so eviction order, mid-epoch KV
+  releases and the KV high-water mark are exactly the scalar path's.  The
+  epoch tally (tokens, context-weighted tokens, per-quantized-context energy
+  bins, prefill segments, first decoders) is computed once from the plan's
+  arrays; its context-weighted sum is summed exactly in integers
+  (:func:`context_weighted`), so it equals the scalar path's float sum bit
+  for bit.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
   original one-sequence-at-a-time loop, kept for validation.  It shares the
   epoch loop and the epoch-closing arithmetic (duration, utilization,
@@ -180,7 +188,43 @@ class EpochRecord:
 
 
 IntArray = npt.NDArray[np.int64]
-FloatArray = npt.NDArray[np.float64]
+
+#: a doubled context-weighted sum below this is exact in float64, and so is
+#: its half (see :func:`context_weighted`)
+_EXACT_DOUBLED_LIMIT = 2**53
+
+#: how one epoch's takes move a sequence's plan rows (remaining prefill,
+#: remaining decode, context, generated, prompt): ``rows += _ADVANCE @ takes``
+_ADVANCE = np.array([[-1, 0], [0, -1], [1, 1], [0, 1], [0, 0]], dtype=np.int64)
+
+
+def context_weighted(budget: IntArray, context: IntArray) -> float:
+    """An epoch's context-weighted token count, exactly.
+
+    Sequence *i* processes ``budget[i]`` tokens at positions ``context[i]``
+    onwards; a segment of ``take`` tokens from ``start`` attends on average
+    to ``(2·start + take − 1) / 2`` cached tokens, so the count is
+    ``Σ budget·(2·context + budget − 1) / 2`` whichever way the budget
+    splits into prefill and decode.  It is summed doubled, in int64 like
+    every per-sequence counter array of the engine, and halved once.  Every
+    term of the float form ``(start + (take − 1) / 2)·take`` is a
+    half-integer, so while the doubled sum stays below 2**53 every float
+    partial sum is exact too, and any summation order -- the scalar
+    oracle's sequential one, per-row pairwise sums, a ``cumsum`` -- gives
+    this value bit for bit.  An epoch at or past that bound raises
+    :class:`SimulationError` rather than disagree with the scalar oracle.
+    """
+    doubled = (
+        2 * int(np.dot(budget, context))
+        + int(np.dot(budget, budget))
+        - int(np.add.reduce(budget))
+    )
+    if not 0 <= doubled < _EXACT_DOUBLED_LIMIT:
+        raise SimulationError(
+            f"epoch context-weighted token count {doubled} / 2 is outside "
+            "the range float64 holds exactly"
+        )
+    return doubled / 2
 
 
 @dataclass
@@ -190,22 +234,34 @@ class EpochPlan:
     Arrays are int64 and indexed like the active snapshot.  ``budget[i]``
     caps sequence *i*'s tokens this epoch; ``takes`` splits it into two
     *segments*: row 0 is the prefill take at the sequence's current position,
-    row 1 the decode take right after it.  The state the takes were derived
-    from -- ``context`` (cached tokens), ``remaining_prefill``,
-    ``remaining_decode``, ``prefill_length`` and ``generated`` (output tokens
-    so far) -- is kept for the fast path's tally and the planned duration.
-    ``split`` marks plans whose budgets were truncated so the epoch closes at
-    the next queue-head arrival instead of running a full chunk past it.
+    row 1 the decode take right after it.  ``rows`` is the state the takes
+    were derived from, one row each for ``remaining_prefill``,
+    ``remaining_decode``, ``context`` (cached tokens), ``generated`` (output
+    tokens so far) and ``prefill_length``, which are views of it.  The fast
+    path keeps it across epochs, and reads it for the tally and the planned
+    duration.  ``split`` marks plans whose budgets were truncated so the
+    epoch closes at the next queue-head arrival instead of running a full
+    chunk past it.
     """
 
     budget: IntArray
     takes: IntArray
-    context: IntArray
-    remaining_prefill: IntArray
-    remaining_decode: IntArray
-    prefill_length: IntArray
-    generated: IntArray
+    rows: IntArray
     split: bool = False
+    remaining_prefill: IntArray = field(init=False)
+    remaining_decode: IntArray = field(init=False)
+    context: IntArray = field(init=False)
+    generated: IntArray = field(init=False)
+    prefill_length: IntArray = field(init=False)
+
+    def __post_init__(self) -> None:
+        (
+            self.remaining_prefill,
+            self.remaining_decode,
+            self.context,
+            self.generated,
+            self.prefill_length,
+        ) = self.rows
 
     def derive_takes(self) -> None:
         """Split every budget: prompt tokens first, the rest decodes."""
@@ -213,13 +269,6 @@ class EpochPlan:
         np.minimum(self.budget, self.remaining_prefill, out=prefill)
         np.subtract(self.budget, prefill, out=decode)
         np.minimum(decode, self.remaining_decode, out=decode)
-
-    def segment_contexts(self) -> FloatArray:
-        """Average attended context of every segment: its middle position."""
-        start = np.empty_like(self.takes)
-        start[0] = self.context
-        np.add(self.context, self.takes[0], out=start[1])
-        return start + (self.takes - 1) / 2.0
 
     # Python-int views: the scalar oracle indexes budgets one sequence at a
     # time, and its counters must stay Python ints.
@@ -354,6 +403,10 @@ class PipelineEngine:
         self._interval_cache: dict[int, float] = {}
         self._energy_cache: dict[int, EnergyBreakdown] = {}
         self._energy_rows: dict[int, tuple[float, float, float, float]] = {}
+        #: plan rows of the sequences a fast epoch left active, in active
+        #: order, with the scheduler's departure count at that moment (see
+        #: :meth:`_plan_rows`)
+        self._carried: tuple[IntArray, int] | None = None
 
     # ------------------------------------------------------------ cached costs
 
@@ -491,13 +544,14 @@ class PipelineEngine:
         truncated when the next arrival lands mid-epoch — split into a prefill
         take at its current position and a decode take right after it.  Most
         sequences then only count tokens, so the KV provider reports in one
-        array query which growths allocate (or fail), and those, the
-        sequences finishing prefill and the completing ones are *events*:
-        they go through ``grow_sequence`` -> ``apply_advance`` -> ``complete``
-        in snapshot order.  The sequences between two events get a plain
-        token-count commit before the next event runs, so every event sees
+        array query which growths it cannot commit in bulk (they may fail),
+        and those, the sequences finishing prefill and the completing ones
+        are *events*: they go through ``grow_sequence`` -> ``apply_advance``
+        -> ``complete`` in snapshot order.  The sequences between two events
+        get a plain commit before the next event runs, so every event sees
         exactly the state the one-sequence-at-a-time loop would show it.
-        The tally is then computed once from the plan's arrays.
+        The tally is then computed once from the plan's arrays, and the plan
+        rows of the sequences left active are carried into the next epoch.
         """
         scheduler = self.scheduler
         kv = scheduler.kv_provider
@@ -505,18 +559,19 @@ class PipelineEngine:
         prefill_take = plan.takes[0]
         remaining_prefill = plan.remaining_prefill
         moving = budget > 0
-        events = moving & (
+        # the last token completes the sequence
+        completing = moving & (budget == remaining_prefill + plan.remaining_decode)
+        events = completing | moving & (
             kv.growth_events(plan.context, budget)
             # the last prompt token changes the phase
             | ((prefill_take > 0) & (prefill_take == remaining_prefill))
-            # the last token completes the sequence
-            | (budget == remaining_prefill + plan.remaining_decode)
         )
-        budgets = plan.budgets
-        prefill_takes = plan.prefill_takes
-        decode_takes = plan.decode_takes
+        budgets = budget.tolist()
+        prefill_takes = prefill_take.tolist()
+        decode_takes = plan.takes[1].tolist()
         # `advanced[i]`: sequence i processed its takes this epoch
         advanced = moving.copy()
+        skipped = False
         finished: list[Sequence] = []
         # The active set only shrinks by completions unless an event evicts
         # or sheds; from then on every commit re-checks membership.
@@ -532,11 +587,13 @@ class PipelineEngine:
                 if disturbed:
                     # Sequences an earlier growth evicted do not advance.
                     alive = [scheduler.is_active(s) for s in run]
-                    advanced[start:index] &= alive
-                    run = list(compress(run, alive))
-                    run_budgets = list(compress(run_budgets, alive))
-                    run_prefill = list(compress(run_prefill, alive))
-                    run_decode = list(compress(run_decode, alive))
+                    if not all(alive):
+                        skipped = True
+                        advanced[start:index] &= alive
+                        run = list(compress(run, alive))
+                        run_budgets = list(compress(run_budgets, alive))
+                        run_prefill = list(compress(run_prefill, alive))
+                        run_decode = list(compress(run_decode, alive))
                 kv.commit_tokens(run, run_budgets)
                 for sequence, prefill, decode in zip(run, run_prefill, run_decode):
                     if prefill:
@@ -549,6 +606,7 @@ class PipelineEngine:
             sequence = snapshot[index]
             if not scheduler.is_active(sequence):
                 advanced[index] = False  # evicted by an earlier sequence's KV growth
+                skipped = True
                 continue
             if scheduler.grow_sequence(sequence, budgets[index]):
                 sequence.apply_advance(prefill_takes[index], decode_takes[index])
@@ -561,31 +619,41 @@ class PipelineEngine:
                     expected_active -= 1
             else:
                 advanced[index] = False
+                skipped = True
             if scheduler.num_active != expected_active:
                 disturbed = True
-        return self._tally(snapshot, plan, advanced, finished, disturbed)
+        if skipped or disturbed:
+            self._carried = None
+        else:
+            # Exactly the completing sequences left: carry the others' rows.
+            rows = plan.rows + _ADVANCE @ plan.takes
+            if finished:
+                rows = rows[:, ~completing]
+            self._carried = (rows, scheduler.departures)
+        return self._tally(
+            snapshot, plan, plan.takes * advanced if skipped else plan.takes,
+            finished, disturbed,
+        )
 
     def _tally(
         self,
         snapshot: list[Sequence],
         plan: EpochPlan,
-        advanced: npt.NDArray[np.bool_],
+        takes: IntArray,
         finished: list[Sequence],
         disturbed: bool,
     ) -> _EpochTally:
         """The fast path's epoch tally, from the plan's arrays.
 
-        Reproduces the scalar loop's accumulation exactly: every advanced
-        sequence contributes its prefill term and then its decode term in
-        snapshot order, so the context-weighted sum is a sequential
-        ``cumsum`` over the interleaved terms, and the energy bins are
-        filled in first-touch order.  ``disturbed`` (an event evicted
+        ``takes`` are the segment takes of the sequences that advanced (row 0
+        prefill, row 1 decode; zero for a sequence that did not).  Reproduces
+        the scalar loop's accumulation exactly: the context-weighted sum is
+        exact in any order (:func:`context_weighted`), and the energy bins are
+        filled in first-touch order, every advanced sequence's prefill
+        segment and then its decode segment.  ``disturbed`` (an event evicted
         sequences) means a prefilled sequence may have been evicted after
         advancing, so its remaining prompt is read back from the sequence.
         """
-        # Segment takes of the sequences that advanced (row 0 prefill, row 1
-        # decode); the transposed views walk them in the scalar loop's order.
-        takes = plan.takes * advanced
         prefill_take, decode_take = takes
         tally = _EpochTally(
             tokens=int(np.add.reduce(takes, axis=None)),
@@ -595,14 +663,29 @@ class PipelineEngine:
         )
         if tally.tokens == 0:
             return tally
-        contexts = plan.segment_contexts()
-        tally.context_weighted = float(np.cumsum((contexts * takes).T)[-1])
+        tally.context_weighted = context_weighted(
+            np.add.reduce(takes, axis=0), plan.context
+        )
+        # The quantised average context of every segment.  Twice the average,
+        # 2·start + take − 1, is an integer whose half is exact, so dividing
+        # it by twice the quantum rounds exactly as the scalar path's
+        # average / quantum does.  The decode segment starts where the
+        # prefill take ends; the two takes add up to the budget.
+        doubled = np.empty_like(takes)
+        np.multiply(plan.context, 2, out=doubled[0])
+        doubled[0] += prefill_take
+        doubled[0] -= 1
+        np.add(doubled[0], plan.budget, out=doubled[1])
         quantum = self.config.context_quantum
-        keys = np.maximum(1, np.rint(contexts / quantum).astype(np.int64) * quantum)
+        keys = np.maximum(
+            1, np.rint(doubled / (2 * quantum)).astype(np.int64) * quantum
+        )
+        # The transposed views walk the segments in the scalar loop's order.
         touched = takes.T > 0
-        energy_bins = tally.energy_bins
-        for key, tokens in zip(keys.T[touched].tolist(), takes.T[touched].tolist()):
-            energy_bins[key] = energy_bins.get(key, 0) + tokens
+        touched_keys = keys.T[touched].tolist()
+        energy_bins = tally.energy_bins = dict.fromkeys(touched_keys, 0)
+        for key, tokens in zip(touched_keys, takes.T[touched].tolist()):
+            energy_bins[key] += tokens
         prefilled = prefill_take.nonzero()[0]
         if disturbed:
             remaining = np.array(
@@ -857,6 +940,7 @@ class PipelineEngine:
         active set rather than the trace length.
         """
         scheduler = self.scheduler
+        self._carried = None
         # Deadline-aware shedding judges waiting requests against their
         # tenant's SLO; harmless otherwise (only consulted when enabled).
         scheduler.slo_lookup = trace.slo_for
@@ -1065,39 +1149,15 @@ class PipelineEngine:
         whose queue head has already arrived (closed batch, or a head blocked
         on capacity) never splits.
 
-        The sequences' counters are read in one pass into a single array;
-        everything else is derived from its columns.
+        The sequences' state comes from :meth:`_plan_rows`; everything else
+        is derived from its rows.
         """
-        count = len(snapshot)
-        state = np.fromiter(
-            chain.from_iterable(
-                [
-                    (
-                        s.request.prefill_length,
-                        s.extra_prefill,
-                        s.prefill_progress,
-                        s.request.decode_length,
-                        s.decode_offset,
-                        s.decode_progress,
-                    )
-                    for s in snapshot
-                ]
-            ),
-            dtype=np.int64,
-            count=6 * count,
-        ).reshape(count, 6)
-        prompt, extra_prefill, prefilled, decode_length, decode_offset, decoded = state.T
-        remaining_prefill = prompt + extra_prefill - prefilled
-        remaining_decode = decode_length - decode_offset - decoded
-        budget = np.minimum(self.config.chunk_tokens, remaining_prefill + remaining_decode)
+        rows = self._plan_rows(snapshot)
+        budget = np.minimum(self.config.chunk_tokens, rows[0] + rows[1])
         plan = EpochPlan(
             budget=budget,
-            takes=np.empty((2, count), dtype=np.int64),
-            context=prefilled + decoded,
-            remaining_prefill=remaining_prefill,
-            remaining_decode=remaining_decode,
-            prefill_length=prompt,
-            generated=decode_offset + decoded,
+            takes=np.empty((2, len(snapshot)), dtype=np.int64),
+            rows=rows,
         )
         plan.derive_takes()
         gap = self._gap_to_next_arrival(time_s)
@@ -1113,6 +1173,45 @@ class PipelineEngine:
                 plan.derive_takes()
                 plan.split = True
         return plan
+
+    def _plan_rows(self, snapshot: list[Sequence]) -> IntArray:
+        """The plan rows of every sequence in ``snapshot``.
+
+        After a fast epoch the rows of the sequences it left active are
+        carried over.  While the scheduler reports no departure since, the
+        active list has only grown at its end, so the snapshot starts with
+        exactly those sequences, in order, and only the newly admitted ones
+        behind them are read.  Otherwise every sequence is read.
+        """
+        carried = self._carried
+        if carried is not None and carried[1] == self.scheduler.departures:
+            rows = carried[0]
+            kept = rows.shape[1]
+            if kept == len(snapshot):
+                return rows
+            return np.concatenate([rows, self._read_rows(snapshot[kept:])], axis=1)
+        return self._read_rows(snapshot)
+
+    @staticmethod
+    def _read_rows(sequences: list[Sequence]) -> IntArray:
+        """Read the plan rows of ``sequences`` from their counters, in one pass."""
+        count = len(sequences)
+        return np.fromiter(
+            chain.from_iterable(
+                [
+                    (
+                        s.request.prefill_length + s.extra_prefill - s.prefill_progress,
+                        s.request.decode_length - s.decode_offset - s.decode_progress,
+                        s.prefill_progress + s.decode_progress,
+                        s.decode_offset + s.decode_progress,
+                        s.request.prefill_length,
+                    )
+                    for s in sequences
+                ]
+            ),
+            dtype=np.int64,
+            count=5 * count,
+        ).reshape(count, 5).T
 
     def _gap_to_next_arrival(self, time_s: float) -> float | None:
         """Seconds until admission can next progress (None when it cannot gate).
@@ -1144,15 +1243,9 @@ class PipelineEngine:
         epoch_tokens = int(np.add.reduce(plan.budget))
         if epoch_tokens <= 0:
             return 0.0
-        takes = plan.takes
-        prefill_takes, decode_takes = takes
-        # One pairwise sum per segment row, added: the estimate's historical
-        # arithmetic (the row sums equal np.sum over each row).
-        prefill_weighted, decode_weighted = np.add.reduce(
-            plan.segment_contexts() * takes, axis=1
-        )
-        context_weighted = float(prefill_weighted + decode_weighted)
-        interval = self.stage_interval(context_weighted / epoch_tokens)
+        prefill_takes, decode_takes = plan.takes
+        weighted = context_weighted(plan.budget, plan.context)
+        interval = self.stage_interval(weighted / epoch_tokens)
         prefilling = prefill_takes > 0
         segments = PrefillSegments(
             takes=prefill_takes[prefilling],
@@ -1306,11 +1399,18 @@ class PipelineEngine:
         )
         # One memoized per-token energy per quantized context bin -- not per
         # segment -- scaled by the bin's tokens and summed in first-touch
-        # order (a sequential cumsum, one column per energy category).
-        per_token = np.array([self._energy_row(key) for key in energy_bins])
-        tokens = np.fromiter(energy_bins.values(), dtype=np.float64, count=len(energy_bins))
-        sums = np.cumsum(per_token * tokens[:, None], axis=0)[-1]
-        return duration, utilization, EnergyBreakdown(*sums.tolist())
+        # order, one running sum per energy category.
+        compute = on_chip = off_chip = communication = 0.0
+        rows = self._energy_rows
+        for key, tokens in energy_bins.items():
+            row = rows.get(key) or self._energy_row(key)
+            compute += row[0] * tokens
+            on_chip += row[1] * tokens
+            off_chip += row[2] * tokens
+            communication += row[3] * tokens
+        return duration, utilization, EnergyBreakdown(
+            compute, on_chip, off_chip, communication
+        )
 
     def _finish(
         self,

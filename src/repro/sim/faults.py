@@ -236,7 +236,8 @@ class FaultInjector:
 
     def _apply_kv_core(self, event: FaultEvent) -> float:
         kv = self.engine.kv_manager
-        healthy = [c for c in kv.kv_core_ids if c not in kv.failed_cores]
+        failed = kv.failed_cores  # a fresh copy per access: read it once
+        healthy = [c for c in kv.kv_core_ids if c not in failed]
         if not healthy:
             return 0.0  # every KV core already failed; nothing left to break
         core = healthy[event.target % len(healthy)]

@@ -60,17 +60,18 @@ class KVCapacityProvider(Protocol):
     def growth_events(
         self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
     ) -> npt.NDArray[np.bool_]:
-        """Mask of the growths that are not a pure token-count commit.
+        """Mask of the growths that cannot be committed in bulk.
 
         ``cached[i]`` is resident sequence *i*'s context length and
-        ``counts[i]`` the tokens it appends this epoch.  True entries
-        (allocations, refusals) must go through :meth:`append_tokens`, in
+        ``counts[i]`` the tokens it appends this epoch.  True entries (growths
+        that may be refused) must go through :meth:`append_tokens`, in
         order, so eviction stays exact; the provider owns the arithmetic.
         """
         ...
 
     def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
-        """Record growths :meth:`growth_events` reported False, in one call."""
+        """Record growths :meth:`growth_events` reported False, in one call,
+        exactly as :meth:`append_tokens` would one by one."""
         ...
 
 
@@ -135,6 +136,10 @@ class InterSequenceScheduler:
             self.policy = make_policy(self.policy)
         self._active: list[Sequence] = []  # in admission order (oldest first)
         self._active_ids: set[int] = set()  # O(1) membership mirror of _active
+        #: bumped whenever a sequence leaves the active list (or the list is
+        #: restored): while it holds still, the list only grew at its end, so
+        #: an earlier snapshot is still its prefix, in order
+        self.departures = 0
         self._completed: list[Sequence] = []
         #: set when an eviction happened; cleared when a request completes
         self._admission_suspended = False
@@ -336,6 +341,7 @@ class InterSequenceScheduler:
                 del self._active[index]
                 break
         self._active_ids.discard(sequence.sequence_id)
+        self.departures += 1
 
     # -------------------------------------------------------------- admission
 
@@ -676,6 +682,7 @@ class InterSequenceScheduler:
         """
         self._active = [by_id[seq_id] for seq_id in state["active"]]
         self._active_ids = {sequence.sequence_id for sequence in self._active}
+        self.departures += 1
         self._completed = [by_id[seq_id] for seq_id in state["completed"]]
         self._shed = [by_id[seq_id] for seq_id in state["shed"]]
         self._admission_suspended = state["admission_suspended"]

@@ -24,6 +24,7 @@ from repro.api import (
     serve,
 )
 from repro.baselines.common import BaselineSystem
+from repro.core.system import OuroborosSystem
 from repro.errors import ConfigurationError
 from repro.experiments.common import BASELINE_SYSTEMS, OUROBOROS_NAME, ExperimentSettings
 from repro.models.architectures import MODEL_REGISTRY
@@ -254,6 +255,38 @@ class TestServe:
                 "llama-13b", "wikitext2", kv_threshold=threshold / 100.0
             ))
         assert len(api._SYSTEM_CACHE) == api._SYSTEM_CACHE_MAX
+
+    def test_build_cache_bound_ignores_baselines(self):
+        """A grid's baselines never evict the wafer builds it serves on."""
+        from repro.experiments.common import DECODER_MODELS
+
+        api.clear_system_cache()
+        ours = {
+            model: build_deployment(FAST.deployment(model, "wikitext2"))
+            for model in DECODER_MODELS
+        }
+        baselines = [
+            FAST.deployment(model, "wikitext2", system=key)
+            for model in DECODER_MODELS
+            for key in api.comparison_grid_keys()
+        ]
+        assert len(ours) == 4 and len(baselines) == api._SYSTEM_CACHE_MAX
+        for spec in baselines:
+            build_deployment(spec)
+        assert len(api._SYSTEM_CACHE) == len(ours) + len(baselines)
+        for model, system in ours.items():
+            assert build_deployment(FAST.deployment(model, "wikitext2")) is system
+        # The bound on wafer-holding builds is unchanged: past it, the least
+        # recently used Ouroboros build goes and every baseline stays.
+        for threshold in range(api._SYSTEM_CACHE_MAX - len(ours) + 1):
+            build_deployment(FAST.deployment(
+                "llama-13b", "wikitext2", kv_threshold=0.5 + threshold / 100.0
+            ))
+        held = list(api._SYSTEM_CACHE.values())
+        assert sum(isinstance(s, OuroborosSystem) for s in held) == api._SYSTEM_CACHE_MAX
+        assert sum(isinstance(s, BaselineSystem) for s in held) == len(baselines)
+        assert ours[DECODER_MODELS[0]] not in held
+        api.clear_system_cache()
 
     def test_baseline_that_cannot_fit_raises(self):
         spec = FAST.deployment("llama-65b", "wikitext2", system="cerebras-wse2",

@@ -31,7 +31,7 @@ class TestParser:
 
     def test_bench_default_output_tracks_pr(self):
         args = build_parser().parse_args(["bench"])
-        assert args.output == "BENCH_PR13.json"
+        assert args.output == "BENCH_PR16.json"
 
     def test_serve_policy_choice(self):
         args = build_parser().parse_args(["serve", "llama-13b", "--policy", "wfq"])

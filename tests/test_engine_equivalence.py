@@ -19,7 +19,7 @@ from repro.kvcache.manager import DistributedKVCacheManager
 from repro.kvcache.static import StaticKVCacheManager
 from repro.pipeline.blocked import BlockedTokenGrainedPipeline
 from repro.pipeline.checkpoint import EngineCheckpoint
-from repro.pipeline.engine import PipelineConfig
+from repro.pipeline.engine import PipelineConfig, PipelineEngine
 from repro.pipeline.sequence_grained import SequenceGrainedPipeline
 from repro.pipeline.stages import TokenCostModel
 from repro.pipeline.tgp import TokenGrainedPipeline
@@ -90,6 +90,54 @@ def mixed_trace(num_requests=10, seed=3, arrival_rate_per_s=0.0):
         arrival_rate_per_s=arrival_rate_per_s,
     )
     return TraceGenerator(spec).generate()
+
+
+class PlanRowsCheck:
+    """What :func:`plan_rows_check` saw: plans, plans on carried rows, and
+    every plan whose rows differ from a fresh read of its snapshot."""
+
+    def __init__(self) -> None:
+        self.plans = 0
+        self.carried = 0
+        self.mismatches: list[tuple[int, list, list]] = []
+
+    def assert_held(self) -> None:
+        assert not self.mismatches, self.mismatches[:3]
+        assert self.carried, "no plan reused carried rows"
+
+
+@pytest.fixture
+def plan_rows_check(monkeypatch):
+    """Compare every ``_plan_epoch``'s rows with the sequences' own counters.
+
+    The fast path carries the plan rows of the sequences still active from
+    one epoch to the next; they must equal what a fresh read of the
+    snapshot gives.  Mismatches are recorded rather than raised, so a run on
+    a daemon's worker thread reports them too.
+    """
+    check = PlanRowsCheck()
+    plan_epoch = PipelineEngine._plan_epoch
+
+    def checked(engine, snapshot, time_s):
+        carried = engine._carried
+        check.carried += (
+            carried is not None and carried[1] == engine.scheduler.departures
+        )
+        plan = plan_epoch(engine, snapshot, time_s)
+        fresh = [
+            [s.remaining_prefill for s in snapshot],
+            [s.remaining_decode for s in snapshot],
+            [s.context_length for s in snapshot],
+            [s.generated_tokens for s in snapshot],
+            [s.request.prefill_length for s in snapshot],
+        ]
+        if plan.rows.tolist() != fresh:
+            check.mismatches.append((check.plans, plan.rows.tolist(), fresh))
+        check.plans += 1
+        return plan
+
+    monkeypatch.setattr(PipelineEngine, "_plan_epoch", checked)
+    return check
 
 
 class TestArrayEngineMatchesScalar:
@@ -534,8 +582,11 @@ class TestKVStateEquivalence:
     #: undersized cache: growth crosses blocks, fails and evicts
     PRESSURE = dict(blocks_per_core=2, kv_cores=24, chunk=64)
 
-    @staticmethod
-    def _check(build, trace_fn, fault_plan=None):
+    @pytest.fixture(autouse=True)
+    def _plan_rows(self, plan_rows_check):
+        self.plan_rows = plan_rows_check
+
+    def _check(self, build, trace_fn, fault_plan=None):
         fast, scalar = build(), build()
         result = fast.run(trace_fn(), fault_plan=fault_plan)
         assert_bitwise_equal(
@@ -552,6 +603,8 @@ class TestKVStateEquivalence:
             )
             assert isinstance(fast_checkpoint, EngineCheckpoint)
             assert fast_checkpoint.as_dict() == scalar_checkpoint.as_dict()
+        # Every fast plan built on carried rows saw the sequences' state.
+        self.plan_rows.assert_held()
         return fast, result
 
     def test_eviction_pressure(self, tiny_arch, small_wafer_config):
@@ -611,6 +664,36 @@ class TestKVStateEquivalence:
         )
         assert result.faults.kv_core_failures == 1
         assert fast.kv_manager.failed_cores
+
+
+class TestCarriedPlanRows:
+    """Carried plan rows stay exact across a checkpoint resume and a live
+    daemon replay (the :class:`TestKVStateEquivalence` runs check them
+    under eviction, preemption, splits and KV-core faults)."""
+
+    def test_checkpoint_resume(self, plan_rows_check, tiny_arch, small_wafer_config):
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", scheduling_policy="wfq", max_active=2,
+                                preemptive=True)
+
+        baseline = build().run(staggered_preemption_trace())
+        checkpoint = build().run(staggered_preemption_trace(), suspend_at_epoch=5)
+        assert isinstance(checkpoint, EngineCheckpoint)
+        resumed = build().run(staggered_preemption_trace(), resume_from=checkpoint)
+        assert_bitwise_equal(baseline, resumed)
+        plan_rows_check.assert_held()
+
+    def test_daemon_replay(self, plan_rows_check):
+        from repro import api
+        from repro.serving import serve_via_daemon
+
+        spec = (
+            api.deployment("llama-13b").workload("lp128_ld2048").requests(8)
+            .arrival_rate(20.0).build()
+        )
+        assert serve_via_daemon(spec) == api.serve(spec).as_dict()
+        plan_rows_check.assert_held()
 
 
 class TestCheckpointResume:

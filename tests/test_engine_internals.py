@@ -1,10 +1,13 @@
 """Tests for pipeline-engine internals: caching, budgets, livelock handling."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.kvcache.manager import DistributedKVCacheManager
-from repro.pipeline.engine import PipelineConfig
+from repro.pipeline.engine import EpochPlan, PipelineConfig, context_weighted
 from repro.pipeline.stages import TokenCostModel
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.workload.requests import Request, Sequence, SequencePhase
@@ -76,6 +79,80 @@ class TestEpochPlanBudgets:
         plan = engine._plan_epoch([seq], 0.0)
         assert plan.budgets == [0]
         assert plan.split is False
+
+
+@st.composite
+def epoch_states(draw):
+    """Plan rows and budgets of one epoch, plus which sequences advanced."""
+    count = draw(st.integers(1, 48))
+    column = st.lists(st.integers(0, 4096), min_size=count, max_size=count)
+    remaining_prefill, remaining_decode = draw(column), draw(column)
+    context = draw(st.lists(st.integers(0, 2**30), min_size=count, max_size=count))
+    budget = [
+        draw(st.integers(0, prefill + decode))
+        for prefill, decode in zip(remaining_prefill, remaining_decode)
+    ]
+    advanced = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    rows = np.array(
+        [remaining_prefill, remaining_decode, context, [0] * count, [1] * count],
+        dtype=np.int64,
+    )
+    return rows, np.array(budget, dtype=np.int64), np.array(advanced)
+
+
+def historical_sums(context, takes):
+    """The float context-weighted sums the engine used before its exact form.
+
+    Every segment contributes ``(start + (take − 1) / 2)·take``; the planned
+    duration added the two per-row pairwise sums, the tally took a
+    sequential ``cumsum`` over the segments interleaved per sequence.
+    """
+    start = np.empty_like(takes)
+    start[0] = context
+    start[1] = context + takes[0]
+    terms = (start + (takes - 1) / 2.0) * takes
+    prefill, decode = np.add.reduce(terms, axis=1)
+    return float(prefill + decode), float(np.cumsum(terms.T)[-1])
+
+
+class TestExactContextSums:
+    """The integer context-weighted sum equals the historical float sums."""
+
+    @given(state=epoch_states())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_sum_matches_float_forms_bitwise(self, state):
+        rows, budget, advanced = state
+        plan = EpochPlan(budget=budget, takes=np.empty((2, len(budget)), np.int64),
+                         rows=rows)
+        plan.derive_takes()
+        # The planned duration sums every planned take, the tally the takes
+        # of the sequences that advanced.  Both callers return before
+        # summing an epoch without tokens.
+        for takes in (plan.takes, plan.takes * advanced):
+            if not takes.any():
+                continue
+            value = context_weighted(takes[0] + takes[1], plan.context)
+            for historical in historical_sums(plan.context, takes):
+                assert value.hex() == historical.hex()
+
+    def test_exactness_bound(self):
+        # Σ b·(2c + b − 1) = 1·(2·(2**52 − 1) + 0) = 2**53 − 2: just inside.
+        one = np.ones(1, dtype=np.int64)
+        assert context_weighted(one, one * (2**52 - 1)) == 2**52 - 1
+        with pytest.raises(SimulationError, match="exactly"):
+            context_weighted(one, one * 2**52)  # doubled sum 2**53
+
+    def test_epoch_past_the_bound_raises(self, tiny_arch, small_wafer_config):
+        """Neither the planned duration nor the tally rounds silently."""
+        engine = make_engine(tiny_arch, small_wafer_config, chunk=16)
+        seq = Sequence(Request(request_id=0, prefill_length=2**51 + 64, decode_length=1))
+        seq.start()
+        seq.prefill_progress = 2**51  # Σ b·(2c + b − 1) = 16·(2**52 + 15)
+        plan = engine._plan_epoch([seq], 0.0)
+        with pytest.raises(SimulationError, match="exactly"):
+            engine._planned_duration(plan)
+        with pytest.raises(SimulationError, match="exactly"):
+            engine._tally([seq], plan, plan.takes, [], False)
 
 
 class TestRunEdgeCases:

@@ -115,6 +115,35 @@ class TestEngineFaultInjection:
         assert_bitwise_equal(first, second)
         assert first.faults.as_dict() == second.faults.as_dict()
 
+    def test_kv_core_events_pick_the_historical_cores(
+        self, tiny_arch, small_wafer_config
+    ):
+        """Each kv_core event fails ``healthy[target % len(healthy)]``, the
+        healthy cores listed in KV-core order at the moment it fires."""
+        plan = FaultPlan.parse(
+            "kv_core@1e-06:5,kv_core@0.0001:5,kv_core@0.0002:30,kv_core@0.0003:47"
+        )
+        engine = build_engine(
+            TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic"
+        )
+        kv = engine.kv_manager
+        chosen = []
+        fail_core = kv.fail_core
+
+        def recording(core_id):
+            chosen.append(core_id)
+            return fail_core(core_id)
+
+        kv.fail_core = recording
+        result = engine.run(mixed_trace(), fault_plan=plan)
+        expected = []
+        for event in plan.events:
+            healthy = [c for c in kv.kv_core_ids if c not in expected]
+            expected.append(healthy[event.target % len(healthy)])
+        assert result.faults.kv_core_failures == len(plan) == len(chosen)
+        assert chosen == expected
+        assert kv.failed_cores == set(expected)
+
     def test_fast_and_scalar_paths_agree(self, tiny_arch, small_wafer_config):
         plan = FaultPlan.parse("kv_block@1e-06,stall@0.0001:0:0.01")
         fast = self._run(tiny_arch, small_wafer_config, plan, method="run")

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -851,3 +852,80 @@ def test_default_builds_start_in_column_accounting(model):
     assert isinstance(kv_manager, DistributedKVCacheManager)
     assert kv_manager._columns
     assert len(kv_manager._free) == kv_manager._ring_width
+
+
+@st.composite
+def batch_growths(draw):
+    """A manager configuration, resident sequences with their cached tokens,
+    whether a core fails first, and one epoch's growth vector."""
+    config = {
+        "cores": draw(st.sampled_from(DIFFERENTIAL_CORES)),
+        "blocks_per_core": draw(st.sampled_from([3, 6, 16, 24, 64])),
+        "threshold": draw(st.sampled_from([0.0, 0.25])),
+        "quota": draw(st.sampled_from([None, None, 0.5])),
+    }
+    residents = draw(st.lists(st.integers(0, 600), min_size=1, max_size=12))
+    failed = draw(st.one_of(st.none(), st.integers(0, 1000)))
+    counts = draw(st.lists(
+        st.integers(0, 600), min_size=len(residents), max_size=len(residents)
+    ))
+    return config, residents, failed, counts
+
+
+class TestBatchGrowthDifferential:
+    """One epoch's growths committed in bulk against ``append_tokens`` per
+    sequence, in order: when ``growth_events`` reports no event the two leave
+    the managers identical, and every growth that could fail or must be
+    charged to a quota is reported."""
+
+    @staticmethod
+    def _populate(tiny_arch, config, residents, failed):
+        manager = TestColumnAccountingDifferential._build(
+            DistributedKVCacheManager, tiny_arch, config
+        )
+        sequences = []
+        for seq_id, tokens in enumerate(residents):
+            sequence = make_sequence(seq_id, tenant="ab"[seq_id % 2])
+            if manager.try_admit(sequence) and manager.append_tokens(sequence, tokens):
+                sequences.append(sequence)
+        if failed is not None:
+            manager.fail_core(100 + failed % config["cores"])
+        return manager, sequences
+
+    @given(scenario=batch_growths())
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_commit_matches_append_per_sequence(self, tiny_arch, scenario):
+        config, residents, failed, counts = scenario
+        batch, sequences = self._populate(tiny_arch, config, residents, failed)
+        single, _ = self._populate(tiny_arch, config, residents, failed)
+        assert batch._columns == (failed is None)
+        counts = counts[:len(sequences)]
+        cached = np.array([batch.tokens_cached(s.sequence_id) for s in sequences],
+                          dtype=np.int64)
+        per_block = batch.tokens_per_block
+        deltas = [
+            max(1, -(-(tokens + count) // per_block)) - max(1, -(-tokens // per_block))
+            for tokens, count in zip(cached.tolist(), counts)
+        ]
+        worst = sum(
+            batch._allocations[s.sequence_id].max_slots * delta
+            for s, delta in zip(sequences, deltas)
+        )
+        floor = int(batch._free.min())
+        events = batch.growth_events(cached, np.array(counts, dtype=np.int64))
+        crossing = [delta > 0 for delta in deltas]
+        if config["quota"] is not None or floor < worst:
+            assert events.tolist() == crossing
+        if events.any():
+            assert events.tolist() == crossing
+            return
+        batch.commit_tokens(sequences, counts)
+        for sequence, count in zip(sequences, counts):
+            assert single.append_tokens(sequence, count)
+        assert np.array_equal(batch._free, single._free)
+        assert batch.stats.as_dict() == single.stats.as_dict()
+        assert batch.used_blocks == single.used_blocks
+        assert batch.snapshot_state() == single.snapshot_state()
