@@ -39,7 +39,6 @@ from .sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     default_system_config,
     required_wafers,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "PipelineMode",
     "KVPolicy",
     "MappingStrategy",
-    "build_system",
     "default_system_config",
     "required_wafers",
     "ModelArch",

@@ -58,12 +58,7 @@ from .sim.engine import (
 )
 from .sim.faults import FaultPlan, make_fault_plan
 from .workload.distributions import get_distribution
-from .workload.generator import (
-    TenantSpec,
-    Trace,
-    generate_multi_tenant_trace,
-    generate_trace,
-)
+from .workload.generator import TenantSpec, Trace
 from .workload.streams import StreamingTrace, multi_tenant_stream, workload_stream
 from .workload.policies import POLICY_NAMES, validate_policy_name
 from .workload.requests import SLOTarget
@@ -838,25 +833,14 @@ def build_deployment(spec: DeploymentSpec, *, cache: bool = True) -> ServingSyst
 
 
 def trace_for(spec: DeploymentSpec) -> Trace:
-    """Generate the (deterministic) request trace a spec describes."""
-    if spec.tenants:
-        return generate_multi_tenant_trace(spec.tenants, seed=spec.seed, slo=spec.slo)
-    trace = generate_trace(
-        spec.workload,
-        num_requests=spec.num_requests,
-        seed=spec.seed,
-        arrival_rate_per_s=spec.arrival_rate_per_s,
-    )
-    trace.slo = spec.slo
-    return trace
+    """The spec's request trace as a list: :func:`stream_for`, drained."""
+    return stream_for(spec).materialize()
 
 
 def stream_for(spec: DeploymentSpec) -> StreamingTrace:
-    """Lazy equivalent of :func:`trace_for` (identical requests, on demand).
+    """The (deterministic) request stream a spec describes.
 
-    The stream emits exactly the requests :func:`trace_for` would materialise,
-    in the same order with the same ids — ``stream_for(spec).materialize()``
-    is bitwise equal to ``trace_for(spec)`` — while holding one pending
+    Requests are generated on demand in arrival order, holding one pending
     request per tenant, which is what lets ``serve`` handle million-request
     specs in O(active sequences) memory.
     """
@@ -872,13 +856,6 @@ def stream_for(spec: DeploymentSpec) -> StreamingTrace:
     return stream
 
 
-#: request count at which :func:`serve` switches to the streaming trace path
-#: automatically.  Purely an execution knob: the accumulator's exact/P²
-#: switchover is by *sample count*, so results are identical either way —
-#: streaming just bounds memory.
-STREAMING_AUTO_THRESHOLD = 100_000
-
-
 def total_spec_requests(spec: DeploymentSpec) -> int:
     """Total requests a spec's trace will contain (all tenants)."""
     if spec.tenants:
@@ -891,7 +868,6 @@ def serve(
     *,
     suspend_at_epoch: int | None = None,
     resume_from: EngineCheckpoint | None = None,
-    streaming: bool | None = None,
 ) -> RunResult | EngineCheckpoint:
     """Serve the deployment described by ``spec`` and return its result.
 
@@ -906,27 +882,13 @@ def serve(
     — the combined suspended+resumed run is bitwise identical to an
     uninterrupted ``serve(spec)``.
 
-    ``streaming`` selects the lazy trace path (arrivals pulled from a
-    heap-merged per-tenant stream as simulated time advances; O(active)
-    resident memory instead of O(trace)).  ``None`` — the default — streams
-    automatically once the spec's total request count reaches
-    :data:`STREAMING_AUTO_THRESHOLD` on an Ouroboros-family system.  The
-    result is identical either way; streaming only changes how the trace is
-    held in memory.
+    Ouroboros-family systems pull their requests from :func:`stream_for` as
+    simulated time advances (O(active) resident memory); the analytical
+    baselines price the whole :func:`trace_for` list at once.
     """
     spec.validate()
     system = build_deployment(spec)
     is_ouroboros = isinstance(system, OuroborosSystem)
-    if streaming is None:
-        streaming = (
-            is_ouroboros and total_spec_requests(spec) >= STREAMING_AUTO_THRESHOLD
-        )
-    elif streaming and not is_ouroboros:
-        raise ConfigurationError(
-            f"{get_system(spec.system).display_name} is an analytical model "
-            "that consumes the whole trace at once; streaming traces require "
-            "an Ouroboros-family system."
-        )
     kwargs: dict = {}
     if spec.faults is not None and len(spec.faults):
         kwargs["fault_plan"] = spec.faults
@@ -939,7 +901,7 @@ def serve(
             f"{get_system(spec.system).display_name} does not support fault "
             "injection or checkpoint/resume; use an Ouroboros-family system."
         )
-    trace = stream_for(spec) if streaming else trace_for(spec)
+    trace = stream_for(spec) if is_ouroboros else trace_for(spec)
     result = system.serve(trace, workload_name=spec.label(), **kwargs)
     if isinstance(result, EngineCheckpoint):
         return result
@@ -971,7 +933,6 @@ __all__ = [
     "trace_for",
     "stream_for",
     "total_spec_requests",
-    "STREAMING_AUTO_THRESHOLD",
     "serve",
     "clear_system_cache",
 ]

@@ -73,7 +73,7 @@ Examples::
     python -m repro serve llama-13b --daemon --checkpoint-on SIGTERM
     python -m repro client replay llama-13b --workload lp128_ld2048 --spawn
     python -m repro client status --connect 127.0.0.1:7431
-    python -m repro serve llama-13b --requests 1000000 --arrival-rate 90 --stream
+    python -m repro serve llama-13b --requests 1000000 --arrival-rate 90
     python -m repro bench --output BENCH_PR16.json
     python -m repro lint --json
 """
@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tune", action="append", default=[],
                        metavar="FIELD=VALUE",
                        help="override any PipelineConfig field by name, e.g. "
-                            "--tune chunk_tokens=256 --tune max_epochs=500000 "
+                            "--tune scheduling_policy=wfq --tune "
+                            "max_queue_depth=64 --tune shed_deadline=true "
                             "(repeatable; values parse as JSON literals)")
     serve.add_argument("--tenant", action="append", default=[],
                        metavar="FIELD=VALUE[,...]",
@@ -147,25 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--arrival-rate", type=float, default=0.0,
                        help="open-loop Poisson arrival rate in requests/s "
                             "(0 = closed batch, all requests at t=0)")
-    serve.add_argument("--policy", choices=sorted(api.POLICY_NAMES),
-                       default="fcfs",
-                       help="scheduler admission-order policy")
     serve.add_argument("--baselines", action="store_true",
                        help="also run the DGX/TPU/AttAcc/Cerebras baselines")
     serve.add_argument("--fault-plan", default=None, metavar="PLAN",
                        help="inject runtime faults: 'kind@time[:target[:dur]],...' "
                             "(kinds: kv_core, weight_core, kv_block, stall) or "
                             "@file.json with a saved plan")
-    serve.add_argument("--max-queue-depth", type=int, default=None,
-                       help="bound the admission queue; overflow is shed")
-    serve.add_argument("--shed-deadline", action="store_true",
-                       help="drop waiting requests whose TTFT SLO is unmeetable")
-    serve.add_argument("--shed-headroom", type=float, default=0.0,
-                       help="service-time slack (s) for deadline shedding")
-    serve.add_argument("--shed-retries", type=int, default=0,
-                       help="retries with backoff before a depth shed is permanent")
-    serve.add_argument("--shed-backoff", type=float, default=0.0,
-                       help="base retry backoff (s); doubles per further shed")
     serve.add_argument("--suspend-epoch", type=int, default=None, metavar="N",
                        help="suspend at epoch N and write a checkpoint "
                             "instead of finishing the run")
@@ -192,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--window", type=float, default=60.0,
                        help="rolling telemetry window in simulated seconds "
                             "(daemon mode; default: %(default)s)")
-    serve.add_argument("--stream", action="store_true",
-                       help="pull requests from a lazy arrival stream instead "
-                            "of materialising the trace (identical results, "
-                            "O(active) memory; engaged automatically at "
-                            f"{api.STREAMING_AUTO_THRESHOLD:,}+ requests)")
 
     client = subparsers.add_parser(
         "client", help="talk to a live serving daemon"
@@ -393,28 +376,11 @@ def _tenant_specs(entries: Sequence[str]) -> tuple:
 
 
 def _apply_serve_overrides(spec, args: argparse.Namespace):
-    """Fold the fault/shedding/tuning flags into a serve spec."""
+    """Fold the tenant/fault/tuning flags into a serve spec."""
     if args.tenant:
         spec = replace(spec, tenants=_tenant_specs(args.tenant))
     if args.fault_plan:
         spec = replace(spec, faults=_parse_fault_plan(args.fault_plan))
-    shedding = (
-        args.max_queue_depth is not None
-        or args.shed_deadline
-        or args.shed_retries
-        or args.shed_backoff
-        or args.shed_headroom
-    )
-    if shedding:
-        pipeline = replace(
-            spec.config.pipeline,
-            max_queue_depth=args.max_queue_depth,
-            shed_deadline=args.shed_deadline,
-            shed_headroom_s=args.shed_headroom,
-            shed_retries=args.shed_retries,
-            shed_backoff_s=args.shed_backoff,
-        )
-        spec = replace(spec, config=replace(spec.config, pipeline=pipeline))
     tuned = _tune_overrides(args.tune)
     if tuned:
         pipeline = replace(spec.config.pipeline, **tuned)
@@ -435,11 +401,7 @@ def _resume_serve(args: argparse.Namespace) -> int:
             f"{args.model}; pass the matching model"
         )
     checkpoint = api.EngineCheckpoint.from_dict(data["checkpoint"])
-    result = api.serve(
-        spec,
-        resume_from=checkpoint,
-        streaming=True if args.stream else None,
-    )
+    result = api.serve(spec, resume_from=checkpoint)
     print(f"Resumed {spec.model} from '{path}' "
           f"(epoch {checkpoint.next_epoch_index})")
     _print_result_row(result.system, result)
@@ -649,12 +611,6 @@ def _serve(args: argparse.Namespace) -> int:
             "--daemon cannot combine with --baselines or --suspend-epoch "
             "(use the protocol's checkpoint operation or --checkpoint-on)"
         )
-    if args.stream and (args.baselines or args.daemon):
-        raise ConfigurationError(
-            "--stream cannot combine with --baselines or --daemon: the "
-            "analytical baselines consume the whole trace at once, and the "
-            "daemon already ingests requests lazily"
-        )
     if args.resume:
         return _serve_daemon(args) if args.daemon else _resume_serve(args)
     if args.model is None and not args.spec:
@@ -664,7 +620,6 @@ def _serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         kv_threshold=args.kv_threshold,
         arrival_rate_per_s=args.arrival_rate,
-        scheduling_policy=args.policy,
     )
     try:
         if args.spec:
@@ -696,11 +651,7 @@ def _serve(args: argparse.Namespace) -> int:
     if args.daemon:
         return _serve_daemon(args, specs[0])
     if args.suspend_epoch is not None:
-        outcome = api.serve(
-            specs[0],
-            suspend_at_epoch=args.suspend_epoch,
-            streaming=True if args.stream else None,
-        )
+        outcome = api.serve(specs[0], suspend_at_epoch=args.suspend_epoch)
         if isinstance(outcome, api.EngineCheckpoint):
             payload = {"spec": specs[0].to_dict(), "checkpoint": outcome.as_dict()}
             Path(args.checkpoint).write_text(json.dumps(payload))
@@ -743,7 +694,7 @@ def _serve(args: argparse.Namespace) -> int:
             k: round(v, 2) for k, v in normalized_energy(results).items()
         })
     else:
-        result = api.serve(specs[0], streaming=True if args.stream else None)
+        result = api.serve(specs[0])
         _print_result_row(result.system, result)
         print("  energy breakdown:", {
             k: f"{v:.1%}" for k, v in result.energy.fractions().items()

@@ -32,7 +32,7 @@ from ..sim.engine import (
     default_system_config,
     required_wafers,
 )
-from ..workload.generator import Trace, generate_trace
+from ..workload.generator import Trace
 from ..workload.streams import StreamingTrace
 
 
@@ -121,13 +121,6 @@ class OuroborosSystem:
             resume_from=resume_from,
             scalar=scalar,
         )
-
-    def serve_workload(
-        self, workload: str, num_requests: int = 1000, seed: int = 0
-    ) -> RunResult:
-        """Generate one of the paper's workloads by name and serve it."""
-        trace = generate_trace(workload, num_requests=num_requests, seed=seed)
-        return self.serve(trace, workload_name=workload)
 
     # ------------------------------------------------------------ introspection
 

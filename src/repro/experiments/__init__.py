@@ -54,9 +54,7 @@ from .common import (
     FigureResult,
     cell_deployments,
     run_all_systems,
-    run_baseline,
     run_grid,
-    run_ouroboros,
 )
 
 ALL_EXPERIMENTS = {
@@ -88,8 +86,6 @@ __all__ = [
     "BASELINE_SYSTEMS",
     "OUROBOROS_NAME",
     "cell_deployments",
-    "run_ouroboros",
-    "run_baseline",
     "run_all_systems",
     "run_grid",
     "ALL_EXPERIMENTS",

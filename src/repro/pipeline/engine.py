@@ -106,7 +106,8 @@ from ..workload.scheduler import InterSequenceScheduler, KVCapacityProvider
 from .checkpoint import EngineCheckpoint
 from .stages import TokenCostModel
 
-#: epochs without forward progress tolerated before declaring a livelock
+#: stalled epochs (no tokens processed) tolerated between two completions
+#: before declaring a livelock
 _MAX_STALLED_EPOCHS = 2000
 
 #: most recent :class:`EpochRecord` entries retained for inspection.  The
@@ -869,7 +870,11 @@ class PipelineEngine:
                     stalled_epochs = self._handle_stall(stalled_epochs)
                     epoch_index += 1
                     continue
-                stalled_epochs = 0
+                # Only a completion proves the stalls are behind us: a lone
+                # sequence whose growth never fits is evicted by the stall,
+                # re-admitted and re-prefills the same tokens forever.
+                if tally.finished:
+                    stalled_epochs = 0
 
                 duration, utilization, epoch_energy = self._close_epoch(
                     tally.tokens,
@@ -956,9 +961,9 @@ class PipelineEngine:
                     "not support them"
                 )
             set_quotas(quotas)
-        # Per-request stats fold incrementally in *both* modes: the exact
-        # small-N path is bitwise identical to the historical list-based
-        # `_finish`, so streaming stays a pure execution knob.
+        # Per-request stats fold incrementally for *both* intakes (a pulled
+        # stream or a submitted list): the exact small-N path is bitwise
+        # identical to the historical list-based `_finish`, so the two agree.
         accumulator = ServeAccumulator(trace.slo_for)
         self._accumulator = accumulator
         scheduler.on_shed = accumulator.note_shed
@@ -1067,9 +1072,13 @@ class PipelineEngine:
                 if request.request_id in needed:
                     by_id[request.request_id] = Sequence(request=request)
         else:
+            # Materialised run: every request was submitted up front.  A
+            # stream stands in for the list by draining here, so the run's
+            # not-yet-arrived requests are queued exactly as the checkpoint
+            # holds them.
             by_id = {
                 request.request_id: Sequence(request=request)
-                for request in trace.requests
+                for request in trace
             }
         for seq_id, data in checkpoint.sequences:
             sequence = by_id.get(seq_id)
@@ -1351,16 +1360,13 @@ class PipelineEngine:
         stalled_epochs += 1
         if stalled_epochs > _MAX_STALLED_EPOCHS:
             raise SimulationError(
-                f"pipeline made no progress for {_MAX_STALLED_EPOCHS} consecutive "
-                "epochs; a sequence's context does not fit the configured KV cache"
+                f"pipeline stalled {_MAX_STALLED_EPOCHS} epochs without completing "
+                "a sequence; a sequence's context does not fit the configured KV cache"
             )
-        victim = self.scheduler.evict_most_recent()
-        if victim is None:
-            # Nothing is left to evict: the epoch's only sequence was shed
-            # mid-growth as quota-doomed.  The loop's all_done / admission
-            # checks decide whether to refill or finish; with queued work the
-            # stalled-epoch bound above still backstops a genuine livelock.
-            return stalled_epochs
+        # With nothing left to evict (the epoch's only sequence was shed
+        # mid-growth as quota-doomed) the loop's admission checks decide
+        # whether to refill or finish.
+        self.scheduler.evict_most_recent()
         return stalled_epochs
 
     def _close_epoch(

@@ -276,14 +276,20 @@ class ServingDaemon:
     def _make_live_trace(self) -> Trace:
         """The spec's trace shell: SLO metadata intact, requests live-fed.
 
-        Built through :func:`api.trace_for` so slo / tenant_slos / workload
-        spec are byte-identical to the batch path, then emptied — the engine
-        appends requests as the feed releases them.  On resume the requests
-        already inside the engine checkpoint are restored here (the
-        checkpoint restore path resolves sequences against the trace).
+        The metadata comes from :func:`api.stream_for` so slo / tenant_slos /
+        tenant_quotas / workload spec are byte-identical to the batch path;
+        no request is popped from it — the engine appends requests as the
+        feed releases them.  On resume the requests already inside the engine
+        checkpoint are restored here (the checkpoint restore path resolves
+        sequences against the trace).
         """
-        trace = api.trace_for(self.spec)
-        trace.requests = []
+        stream = api.stream_for(self.spec)
+        trace = Trace(
+            spec=stream.spec,
+            slo=stream.slo,
+            tenant_slos=dict(stream.tenant_slos),
+            tenant_quotas=dict(stream.tenant_quotas),
+        )
         if self._resume_checkpoint is not None:
             restored_ids = {seq_id for seq_id, _ in
                             self._resume_checkpoint.sequences}

@@ -7,7 +7,6 @@ from .engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     required_wafers,
 )
 from .faults import FaultEvent, FaultInjector, FaultPlan, make_fault_plan
@@ -20,7 +19,6 @@ __all__ = [
     "PipelineMode",
     "KVPolicy",
     "MappingStrategy",
-    "build_system",
     "required_wafers",
     "EnergyBreakdown",
     "RunResult",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError, MappingError
@@ -351,27 +350,11 @@ def _build_kv_manager(
 def default_system_config() -> OuroborosSystemConfig:
     """The one place default Ouroboros knobs come from.
 
-    :class:`repro.api.DeploymentSpec` uses this as its ``config`` default;
-    the legacy entry points below route through it instead of each
-    constructing their own ``OuroborosSystemConfig()``.
+    :class:`repro.api.DeploymentSpec` and
+    :class:`~repro.core.system.OuroborosSystem` use this as their ``config``
+    default instead of each constructing their own ``OuroborosSystemConfig()``.
     """
     return OuroborosSystemConfig()
-
-
-def build_system(arch: ModelArch, config: OuroborosSystemConfig | None = None) -> BuiltOuroboros:
-    """Deprecated public entry point: build a ready-to-serve deployment.
-
-    Prefer ``repro.api.serve(DeploymentSpec(...))`` or
-    ``repro.api.build_deployment(...)``; this shim keeps old callers working
-    (results are bitwise-identical) while steering new code to the spec API.
-    """
-    warnings.warn(
-        "build_system() is deprecated; use repro.api.serve(DeploymentSpec(...)) "
-        "or repro.api.build_deployment() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_system(arch, config if config is not None else default_system_config())
 
 
 def _build_system(arch: ModelArch, config: OuroborosSystemConfig) -> BuiltOuroboros:

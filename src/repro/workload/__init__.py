@@ -16,7 +16,6 @@ from .distributions import (
 from .generator import (
     PAPER_WORKLOADS,
     Trace,
-    TraceGenerator,
     WorkloadSpec,
     generate_trace,
     make_workload,
@@ -47,7 +46,6 @@ __all__ = [
     "get_distribution",
     "WorkloadSpec",
     "Trace",
-    "TraceGenerator",
     "make_workload",
     "generate_trace",
     "PAPER_WORKLOADS",

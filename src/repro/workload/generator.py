@@ -1,11 +1,11 @@
-"""Trace generation: turn length distributions into batches of requests.
+"""Trace vocabulary: workload and tenant specs, and the materialised trace.
 
-Single-tenant traces come from :class:`TraceGenerator` (one distribution, one
-Poisson arrival process).  Multi-tenant traces interleave several independent
-:class:`TenantSpec` streams — each with its own length distribution, request
-count and arrival process — into one arrival-ordered trace whose requests
-carry their tenant id, which is what the per-tenant latency/goodput accounting
-in the engines keys on.
+Request lengths and arrival gaps are drawn in one place, the lazy arrival
+streams of :mod:`repro.workload.streams`.  :func:`generate_trace` drains one
+of them into a :class:`Trace` for callers that price a whole trace at once
+(the analytical baselines) or hand-build one.  A multi-tenant trace carries
+each request's tenant id, which is what the per-tenant latency/goodput
+accounting in the engines keys on.
 """
 
 from __future__ import annotations
@@ -139,60 +139,6 @@ class Trace:
         }
 
 
-class TraceGenerator:
-    """Generates reproducible request traces from a workload spec."""
-
-    def __init__(self, spec: WorkloadSpec) -> None:
-        self.spec = spec
-
-    def generate(self) -> Trace:
-        rng = np.random.default_rng(self.spec.seed)
-        # Arrival gaps come from an independent stream: switching a workload
-        # between batch and open-loop must never change the sampled request
-        # lengths, because the arrival sweep (fig22) anchors its load
-        # fractions to the closed-batch service rate of the *same* mix.
-        arrival_rng = np.random.default_rng((self.spec.seed, 1))
-        requests: list[Request] = []
-        arrival = 0.0
-        for request_id in range(self.spec.num_requests):
-            sample = self.spec.distribution.sample(rng)
-            if self.spec.arrival_rate_per_s > 0:
-                arrival += float(arrival_rng.exponential(1.0 / self.spec.arrival_rate_per_s))
-            requests.append(
-                Request(
-                    request_id=request_id,
-                    prefill_length=sample.prefill_length,
-                    decode_length=sample.decode_length,
-                    arrival_time=arrival,
-                )
-            )
-        return Trace(spec=self.spec, requests=requests)
-
-
-def generate_multi_tenant_trace(
-    tenants: tuple[TenantSpec, ...] | list[TenantSpec],
-    seed: int = 0,
-    slo: SLOTarget | None = None,
-) -> Trace:
-    """Interleave independent per-tenant request streams into one trace.
-
-    Every tenant samples lengths and arrival gaps from rng streams derived
-    from ``(seed, tenant index)``, so adding a tenant (or changing its rate)
-    never perturbs another tenant's requests.  The merged trace is sorted by
-    arrival time (ties broken by tenant order, then per-tenant order) and
-    request ids are assigned in that order, which makes the FCFS scheduler's
-    queue order equal arrival order.
-
-    Since the streaming refactor this is a shim that drains the lazy
-    heap-merged stream (:func:`~repro.workload.streams.multi_tenant_stream`);
-    the stream's pop order is the exact sort key above, so the materialised
-    trace is bitwise identical to the historical sort-then-enumerate output.
-    """
-    from .streams import multi_tenant_stream  # local: streams imports us
-
-    return multi_tenant_stream(tenants, seed=seed, slo=slo).materialize()
-
-
 def make_workload(
     name: str,
     num_requests: int = 1000,
@@ -221,10 +167,10 @@ def generate_trace(
     seed: int = 0,
     arrival_rate_per_s: float = 0.0,
 ) -> Trace:
-    """Convenience wrapper: build a workload spec and generate its trace."""
-    return TraceGenerator(
-        make_workload(name, num_requests, seed, arrival_rate_per_s)
-    ).generate()
+    """Convenience wrapper: build a workload spec and materialise its trace."""
+    from .streams import workload_stream  # local: streams imports us
+
+    return workload_stream(name, num_requests, seed, arrival_rate_per_s).materialize()
 
 
 PAPER_WORKLOADS = ("wikitext2", "lp128_ld2048", "lp2048_ld128", "lp2048_ld2048")

@@ -1,27 +1,24 @@
 """Lazy request streams: heap-merged per-tenant arrival generators.
 
-Million-request traces cannot be materialised up front — a 10^6-request trace
-holds ~10^6 ``Request`` objects before the first epoch runs.  This module
-generates the same traces *lazily*: every tenant is an arrival generator that
-draws one length sample (and, open-loop, one exponential gap) per request from
-the exact RNG streams the materialising generators use, and a heap merges the
-tenant generators on ``(arrival_time, tenant_index, per-tenant order)`` — the
-exact sort key of :func:`~repro.workload.generator.generate_multi_tenant_trace`.
-Request ids are assigned in pop order, so the merged stream is *bitwise
-identical* to the sorted materialised trace, request by request, while holding
-only one pending request per tenant in memory.
+This module is the only place request lengths and arrival gaps are drawn.
+Every tenant is an arrival generator that draws one length sample (and,
+open-loop, one exponential gap) per request, and a heap merges the tenant
+generators on ``(arrival_time, tenant_index, per-tenant order)``.  Request
+ids are assigned in pop order, so the merged stream is globally sorted by
+that key while holding only one pending request per tenant in memory — a
+million-request trace never exists as a list.
 
 Because each tenant's arrivals are non-decreasing (a cumulative sum of
 non-negative gaps), the heap invariant "one entry per tenant = that tenant's
 earliest remaining request" makes the pop order globally sorted; ties at equal
-arrival times break on tenant index then per-tenant order, exactly like the
-materialised ``rows.sort``.
+arrival times break on tenant index then per-tenant order.
 
 :class:`StreamingTrace` duck-types the parts of
 :class:`~repro.workload.generator.Trace` the pipeline engines consume (``spec``,
 ``slo_for``, ``mean_prefill_length``, ``__len__``) without a ``requests`` list;
 the scheduler pulls from its :class:`RequestStream` on demand (see
-``InterSequenceScheduler.attach_stream``).
+``InterSequenceScheduler.attach_stream``).  :meth:`StreamingTrace.materialize`
+drains a stream into a plain ``Trace`` for callers that need the whole list.
 """
 
 from __future__ import annotations
@@ -37,55 +34,59 @@ from .generator import TenantSpec, Trace, WorkloadSpec, make_workload
 from .requests import DEFAULT_TENANT, Request, SLOTarget
 
 
+#: one request of the merge: ``(arrival, tenant_index, per-tenant order,
+#: prefill, decode)`` — the sort key, then the lengths
+_Entry = tuple[float, int, int, int, int]
+
+
 def _arrival_source(
+    index: int,
     distribution: LengthDistribution,
     num_requests: int,
     arrival_rate_per_s: float,
     length_rng: np.random.Generator,
     arrival_rng: np.random.Generator,
-) -> Iterator[tuple[float, int, int]]:
-    """Yield ``(arrival, prefill, decode)`` lazily, one request at a time.
+) -> Iterator[_Entry]:
+    """Yield tenant ``index``'s merge entries lazily, one request at a time.
 
-    Draw order per request — one length sample, then (open-loop) one
-    exponential gap — matches the materialising generators exactly, so the
-    lazy stream consumes the RNG streams identically.
+    Draw order per request: one length sample, then (open-loop) one
+    exponential gap.  Lengths and gaps come from separate RNG streams, so
+    switching a workload between batch and open-loop never changes the
+    sampled request lengths (the arrival sweep, fig22, anchors its load
+    fractions to the closed-batch service rate of the *same* mix).
     """
     arrival = 0.0
-    for _ in range(num_requests):
+    for order in range(num_requests):
         sample = distribution.sample(length_rng)
         if arrival_rate_per_s > 0:
             arrival += float(arrival_rng.exponential(1.0 / arrival_rate_per_s))
-        yield arrival, sample.prefill_length, sample.decode_length
+        yield arrival, index, order, sample.prefill_length, sample.decode_length
 
 
 class _TenantSource:
-    """One tenant's lazy arrival generator plus its merge bookkeeping."""
+    """One tenant's lazy arrival generator and the fields its requests carry."""
 
-    __slots__ = ("name", "weight", "priority", "arrivals", "order")
+    __slots__ = ("name", "weight", "priority", "arrivals")
 
     def __init__(
         self,
         name: str,
         weight: float,
         priority: int,
-        arrivals: Iterator[tuple[float, int, int]],
+        arrivals: Iterator[_Entry],
     ) -> None:
         self.name = name
         self.weight = weight
         self.priority = priority
         self.arrivals = arrivals
-        #: per-tenant order of the *next* request (the materialised trace's
-        #: third sort-key component)
-        self.order = 0
 
 
 class RequestStream:
     """Arrival-ordered lazy stream of :class:`Request` objects.
 
     Pops are globally sorted by ``(arrival_time, tenant_index, order)`` and
-    request ids are assigned in pop order — bitwise the materialised trace's
-    ``sort`` + ``enumerate``.  Memory held is one pending heap entry per
-    tenant, independent of the trace length.
+    request ids are assigned in pop order.  Memory held is one pending heap
+    entry per tenant, independent of the trace length.
     """
 
     def __init__(self, sources: list[_TenantSource], total: int) -> None:
@@ -95,20 +96,12 @@ class RequestStream:
         self._emitted = 0
         self._prefill_emitted = 0
         self._decode_emitted = 0
-        #: one entry per non-exhausted tenant:
-        #: ``(arrival, tenant_index, order, prefill, decode)``
-        self._heap: list[tuple[float, int, int, int, int]] = []
-        for index in range(len(sources)):
-            self._advance_source(index)
-
-    def _advance_source(self, index: int) -> None:
-        source = self._sources[index]
-        try:
-            arrival, prefill, decode = next(source.arrivals)
-        except StopIteration:
-            return
-        heapq.heappush(self._heap, (arrival, index, source.order, prefill, decode))
-        source.order += 1
+        #: one entry per non-exhausted tenant: its earliest remaining request
+        self._heap: list[_Entry] = [
+            entry for source in sources
+            if (entry := next(source.arrivals, None)) is not None
+        ]
+        heapq.heapify(self._heap)
 
     # ------------------------------------------------------------------ state
 
@@ -149,23 +142,25 @@ class RequestStream:
 
     def pop(self) -> Request:
         """Emit the next request in global arrival order."""
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise ConfigurationError("request stream is exhausted")
-        arrival, index, _, prefill, decode = heapq.heappop(self._heap)
+        arrival, index, _, prefill, decode = heap[0]
         source = self._sources[index]
+        # The popped tenant's next request takes its place in the merge.
+        following = next(source.arrivals, None)
+        if following is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, following)
+        # Positional (field order), which is measurably cheaper per request.
         request = Request(
-            request_id=self._emitted,
-            prefill_length=prefill,
-            decode_length=decode,
-            arrival_time=arrival,
-            tenant=source.name,
-            weight=source.weight,
-            priority=source.priority,
+            self._emitted, prefill, decode, arrival,
+            source.name, source.weight, source.priority,
         )
         self._emitted += 1
         self._prefill_emitted += prefill
         self._decode_emitted += decode
-        self._advance_source(index)
         return request
 
     def __iter__(self) -> Iterator[Request]:
@@ -237,13 +232,13 @@ def multi_tenant_stream(
     seed: int = 0,
     slo: SLOTarget | None = None,
 ) -> StreamingTrace:
-    """Lazy equivalent of :func:`~repro.workload.generator.generate_multi_tenant_trace`.
+    """Interleave independent per-tenant request streams into one stream.
 
     Every tenant samples lengths and arrival gaps from RNG streams derived
-    from ``(seed, tenant index)`` — identical to the materialising generator —
-    and the merge emits requests in ``(arrival, tenant index, order)`` order
-    with ids assigned in emission order.  ``materialize()`` on the result is
-    bitwise equal to the materialised trace.
+    from ``(seed, tenant index)``, so adding a tenant (or changing its rate)
+    never perturbs another tenant's requests.  The merge emits requests in
+    ``(arrival, tenant index, order)`` order with ids assigned in emission
+    order, which makes the FCFS scheduler's queue order equal arrival order.
     """
     if not tenants:
         raise ConfigurationError("at least one tenant is required")
@@ -263,6 +258,7 @@ def multi_tenant_stream(
                 weight=tenant.weight,
                 priority=tenant.priority,
                 arrivals=_arrival_source(
+                    index,
                     distribution,
                     tenant.num_requests,
                     tenant.arrival_rate_per_s,
@@ -296,12 +292,11 @@ def multi_tenant_stream(
 
 
 def stream_from_spec(spec: WorkloadSpec) -> StreamingTrace:
-    """Lazy single-tenant stream with :class:`TraceGenerator` RNG semantics.
+    """Lazy single-tenant stream of a workload spec.
 
-    Uses ``default_rng(seed)`` / ``default_rng((seed, 1))`` — the single-tenant
-    generator's streams, not the multi-tenant ``(seed, index)`` derivation —
-    so ``materialize()`` is bitwise equal to ``TraceGenerator(spec).generate()``
-    (requests carry the default tenant, weight and priority).
+    Uses ``default_rng(seed)`` for lengths and ``default_rng((seed, 1))`` for
+    arrival gaps — not the multi-tenant ``(seed, index)`` derivation — and
+    its requests carry the default tenant, weight and priority.
     """
     length_rng = np.random.default_rng(spec.seed)
     arrival_rng = np.random.default_rng((spec.seed, 1))
@@ -310,6 +305,7 @@ def stream_from_spec(spec: WorkloadSpec) -> StreamingTrace:
         weight=1.0,
         priority=0,
         arrivals=_arrival_source(
+            0,
             spec.distribution,
             spec.num_requests,
             spec.arrival_rate_per_s,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+import threading
+
 import pytest
 
 from repro.hardware.config import CoreConfig, CrossbarConfig, DieConfig, WaferConfig
@@ -11,7 +14,45 @@ from repro.models.architectures import ModelArch
 from repro.pipeline.engine import PipelineConfig
 from repro.sim.engine import OuroborosSystemConfig
 from repro.workload.distributions import FixedLengthDistribution
-from repro.workload.generator import Trace, TraceGenerator, WorkloadSpec
+from repro.workload.generator import Trace, WorkloadSpec
+from repro.workload.streams import stream_from_spec
+
+#: wall-clock budget, in seconds, of one test outside the ``slow`` tier.  The
+#: slowest fast test takes ~2.5 s, so a test that runs this long is stuck
+#: (a livelocked epoch loop, a wait that never returns), not slow.
+FAST_TEST_BUDGET_S = 30
+
+
+@pytest.fixture(autouse=True)
+def fast_test_budget(request):
+    """Fail a test not marked ``slow`` once it runs past its budget.
+
+    ``pytest-timeout`` is not a dependency, so this arms ``ITIMER_REAL``
+    directly (POSIX, main thread only) and restores the previous SIGALRM
+    handler afterwards.
+    """
+    if (
+        request.node.get_closest_marker("slow") is not None
+        or not hasattr(signal, "setitimer")
+        or threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(
+            f"test ran past its {FAST_TEST_BUDGET_S} s budget (mark it slow "
+            "if it is meant to take this long)",
+            pytrace=False,
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, FAST_TEST_BUDGET_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -85,7 +126,7 @@ def make_trace(
         num_requests=num_requests,
         seed=seed,
     )
-    return TraceGenerator(spec).generate()
+    return stream_from_spec(spec).materialize()
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from repro.sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     default_system_config,
     required_wafers,
 )
@@ -296,42 +295,19 @@ class TestServe:
 
 
 class TestDeprecatedShims:
+    """What the retired deprecated entry points promised, on the code that stays."""
+
     def test_build_system_warns_and_matches_api(self):
-        settings = FAST
-        spec = settings.deployment("llama-13b", "lp128_ld2048")
-        with pytest.warns(DeprecationWarning):
-            built = build_system(resolve_model("llama-13b"), spec.config)
-        old = built.serve(api.trace_for(spec), workload_name=spec.workload)
+        """A hand-served materialised trace equals ``serve(spec)``'s stream."""
+        spec = FAST.deployment("llama-13b", "lp128_ld2048")
+        old = build_deployment(spec).serve(api.trace_for(spec),
+                                           workload_name=spec.workload)
         new = serve(spec)
         old_dict, new_dict = old.as_dict(), new.as_dict()
         # The unified entry point relabels the system; every measured field
         # must stay bitwise-identical.
         old_dict.pop("system"), new_dict.pop("system")
         assert old_dict == new_dict
-
-    def test_run_ouroboros_shim_matches_api(self):
-        from repro.experiments.common import run_ouroboros
-
-        with pytest.warns(DeprecationWarning):
-            old = run_ouroboros("llama-13b", "lp128_ld2048", FAST)
-        new = serve(FAST.deployment("llama-13b", "lp128_ld2048"))
-        assert old.as_dict() == new.as_dict()
-
-    def test_run_baseline_shim_matches_api(self):
-        from repro.experiments.common import run_baseline
-
-        with pytest.warns(DeprecationWarning):
-            old = run_baseline("DGX A100", "llama-13b", "lp128_ld2048", FAST)
-        new = serve(FAST.deployment("llama-13b", "lp128_ld2048", system="dgx-a100"))
-        assert old.as_dict() == new.as_dict()
-
-    def test_run_baseline_shim_returns_none_when_model_does_not_fit(self):
-        from repro.experiments.common import run_baseline
-
-        with pytest.warns(DeprecationWarning):
-            missing = run_baseline("Cerebras", "llama-65b", "wikitext2", FAST)
-        # LLaMA-65B needs two WSE-2 wafers; the shim mirrors the missing bar.
-        assert missing is None or missing.total_tokens > 0
 
     def test_build_system_default_config_comes_from_one_place(self):
         arch = resolve_model("llama-13b")

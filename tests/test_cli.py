@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import api
+from repro.cli import _print_result_row, build_parser, main
+from repro.experiments.common import ExperimentSettings
 
 
 class TestParser:
@@ -34,10 +36,21 @@ class TestParser:
         assert args.output == "BENCH_PR16.json"
 
     def test_serve_policy_choice(self):
-        args = build_parser().parse_args(["serve", "llama-13b", "--policy", "wfq"])
+        """serve picks its policy with --tune; client keeps --policy."""
+        args = build_parser().parse_args(
+            ["serve", "llama-13b", "--tune", "scheduling_policy=wfq"]
+        )
+        assert args.tune == ["scheduling_policy=wfq"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "llama-13b", "--policy", "wfq"])
+        args = build_parser().parse_args(
+            ["client", "replay", "llama-13b", "--policy", "wfq"]
+        )
         assert args.policy == "wfq"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "llama-13b", "--policy", "lifo"])
+            build_parser().parse_args(
+                ["client", "replay", "llama-13b", "--policy", "lifo"]
+            )
 
     def test_experiment_fig24_registered(self):
         assert build_parser().parse_args(["experiment", "fig24"]).figure == "fig24"
@@ -81,6 +94,35 @@ class TestCommands:
         ])
         assert code == 2
         assert "closed-batch comparison" in capsys.readouterr().err
+
+    def test_serve_tune_matches_api(self, capsys):
+        """--tune reaches the policy and shedding fields of the spec."""
+        code = main([
+            "serve", "llama-13b", "--workload", "wikitext2", "--requests", "30",
+            "--arrival-rate", "400", "--tune", "scheduling_policy=wfq",
+            "--tune", "max_queue_depth=4", "--tune", "max_active_sequences=2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        spec = ExperimentSettings(
+            num_requests=30, arrival_rate_per_s=400.0,
+            scheduling_policy="wfq", max_queue_depth=4, max_active_sequences=2,
+        ).deployment("llama-13b", "wikitext2")
+        result = api.serve(spec)
+        assert result.shed_requests > 0  # the queue bound took effect
+        _print_result_row(result.system, result)
+        row = capsys.readouterr().out
+        assert row.strip() and row in out
+
+    def test_serve_tune_rejects_unknown_policy(self, capsys):
+        code = main([
+            "serve", "llama-13b", "--requests", "5",
+            "--tune", "scheduling_policy=lifo",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "lifo" in err
 
     def test_serve_command_open_loop(self, capsys):
         code = main([

@@ -24,7 +24,8 @@ from repro.pipeline.sequence_grained import SequenceGrainedPipeline
 from repro.pipeline.stages import TokenCostModel
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.workload.distributions import UniformLengthDistribution
-from repro.workload.generator import TraceGenerator, WorkloadSpec
+from repro.workload.generator import WorkloadSpec
+from repro.workload.streams import multi_tenant_stream, stream_from_spec
 
 from .conftest import make_trace
 
@@ -89,7 +90,7 @@ def mixed_trace(num_requests=10, seed=3, arrival_rate_per_s=0.0):
         seed=seed,
         arrival_rate_per_s=arrival_rate_per_s,
     )
-    return TraceGenerator(spec).generate()
+    return stream_from_spec(spec).materialize()
 
 
 class PlanRowsCheck:
@@ -223,8 +224,8 @@ class TestOpenLoopEquivalence:
             # undersized cache still thrashes
             arrival_rate_per_s=2000.0,
         )
-        result_fast = fast.run(TraceGenerator(spec).generate())
-        result_scalar = scalar.run_scalar(TraceGenerator(spec).generate())
+        result_fast = fast.run(stream_from_spec(spec).materialize())
+        result_scalar = scalar.run_scalar(stream_from_spec(spec).materialize())
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert_bitwise_equal(result_fast, result_scalar)
 
@@ -258,9 +259,9 @@ class TestSubEpochSplitEquivalence:
         lengths = FixedLengthDistribution(180, 24)
         probe = build_engine(TokenGrainedPipeline, arch, wafer_config, "dynamic")
         probe.run(
-            TraceGenerator(
+            stream_from_spec(
                 WorkloadSpec(name="probe", distribution=lengths, num_requests=1)
-            ).generate()
+            ).materialize()
         )
         full_epoch = max(record.duration_s for record in probe.epochs)
         arrivals = [0.0, 1.4 * full_epoch, 2.7 * full_epoch, 6.3 * full_epoch]
@@ -269,7 +270,7 @@ class TestSubEpochSplitEquivalence:
             distribution=lengths,
             num_requests=len(arrivals),
         )
-        trace = TraceGenerator(spec).generate()
+        trace = stream_from_spec(spec).materialize()
         trace.requests = [
             type(request)(
                 request_id=request.request_id,
@@ -314,20 +315,20 @@ class TestSubEpochSplitEquivalence:
         # arrivals land inside busy (thrashing) epochs rather than all at
         # t=0 or in idle gaps.
         probe = build_engine(engine_cls, tiny_arch, small_wafer_config, "dynamic", **kwargs)
-        probe_result = probe.run(TraceGenerator(pressure_spec(0.0)).generate())
+        probe_result = probe.run(stream_from_spec(pressure_spec(0.0)).materialize())
         rate = 2 * 8 / probe_result.total_time_s
 
         fast = build_engine(engine_cls, tiny_arch, small_wafer_config, "dynamic", **kwargs)
         scalar = build_engine(engine_cls, tiny_arch, small_wafer_config, "dynamic", **kwargs)
-        result_fast = fast.run(TraceGenerator(pressure_spec(rate)).generate())
-        result_scalar = scalar.run_scalar(TraceGenerator(pressure_spec(rate)).generate())
+        result_fast = fast.run(stream_from_spec(pressure_spec(rate)).materialize())
+        result_scalar = scalar.run_scalar(stream_from_spec(pressure_spec(rate)).materialize())
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert result_fast.extra["split_epochs"] > 0  # and actually splits
         assert_bitwise_equal(result_fast, result_scalar)
 
     def test_multi_tenant_trace_equivalence(self, tiny_arch, small_wafer_config):
         """Per-tenant stats and goodput are part of the bitwise contract."""
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
         from repro.workload.requests import SLOTarget
 
         tenants = (
@@ -339,8 +340,11 @@ class TestSubEpochSplitEquivalence:
         slo = SLOTarget(ttft_s=0.5, latency_s=2.0)
         fast = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic")
         scalar = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic")
-        result_fast = fast.run(generate_multi_tenant_trace(tenants, seed=3, slo=slo))
-        result_scalar = scalar.run_scalar(generate_multi_tenant_trace(tenants, seed=3, slo=slo))
+        def trace():
+            return multi_tenant_stream(tenants, seed=3, slo=slo).materialize()
+
+        result_fast = fast.run(trace())
+        result_scalar = scalar.run_scalar(trace())
         assert_bitwise_equal(result_fast, result_scalar)
         assert result_fast.goodput == result_scalar.goodput
         assert set(result_fast.tenants) == {"a", "b"}
@@ -363,7 +367,7 @@ class TestPolicyEquivalence:
     POLICIES = ["fcfs", "wfq", "priority"]
 
     def _policy_trace(self, seed=3):
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
         from repro.workload.requests import SLOTarget
 
         tenants = (
@@ -372,9 +376,9 @@ class TestPolicyEquivalence:
             TenantSpec(name="batch", workload="lp96_ld8", num_requests=4,
                        arrival_rate_per_s=20.0),
         )
-        return generate_multi_tenant_trace(
+        return multi_tenant_stream(
             tenants, seed=seed, slo=SLOTarget(ttft_s=0.5, latency_s=2.0)
-        )
+        ).materialize()
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("policy", POLICIES)
@@ -398,7 +402,7 @@ class TestPolicyEquivalence:
         """Policy-ordered admission composes with eviction + re-admission."""
         kwargs = dict(blocks_per_core=2, kv_cores=24, chunk=64,
                       scheduling_policy=policy)
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
 
         # Arrival rates sized to the tiny system's service rate so arrivals
         # land inside busy (thrashing) epochs rather than in idle gaps.
@@ -412,8 +416,8 @@ class TestPolicyEquivalence:
                             "dynamic", **kwargs)
         scalar = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
                               "dynamic", **kwargs)
-        result_fast = fast.run(generate_multi_tenant_trace(tenants, seed=11))
-        result_scalar = scalar.run_scalar(generate_multi_tenant_trace(tenants, seed=11))
+        result_fast = fast.run(multi_tenant_stream(tenants, seed=11).materialize())
+        result_scalar = scalar.run_scalar(multi_tenant_stream(tenants, seed=11).materialize())
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert result_fast.extra["split_epochs"] > 0  # and actually splits
         assert_bitwise_equal(result_fast, result_scalar)
@@ -427,7 +431,7 @@ class TestPolicyEquivalence:
         the binding constraint (not global pressure): admissions and growths
         fail quota-bound, evict-and-requeue churns, and both paths must agree.
         """
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
 
         kwargs = dict(blocks_per_core=2, kv_cores=24, chunk=64,
                       scheduling_policy=policy)
@@ -441,8 +445,8 @@ class TestPolicyEquivalence:
                             "dynamic", **kwargs)
         scalar = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
                               "dynamic", **kwargs)
-        result_fast = fast.run(generate_multi_tenant_trace(tenants, seed=11))
-        result_scalar = scalar.run_scalar(generate_multi_tenant_trace(tenants, seed=11))
+        result_fast = fast.run(multi_tenant_stream(tenants, seed=11).materialize())
+        result_scalar = scalar.run_scalar(multi_tenant_stream(tenants, seed=11).materialize())
         # The quota actually bound: the manager attributed refusals to it.
         stats = fast.kv_manager.stats
         assert stats.quota_rejections + stats.quota_blocked_growths > 0
@@ -480,7 +484,7 @@ def staggered_preemption_trace(seed=7, chat_quota=None, batch_quota=None):
     four chat arrivals land mid-decode, so a preemptive policy must displace
     a resident batch sequence for every chat admission.
     """
-    from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+    from repro.workload.generator import TenantSpec
     from repro.workload.requests import SLOTarget
 
     tenants = (
@@ -490,9 +494,9 @@ def staggered_preemption_trace(seed=7, chat_quota=None, batch_quota=None):
         TenantSpec(name="batch", workload="lp96_ld512", num_requests=3,
                    arrival_rate_per_s=3000.0, kv_quota=batch_quota),
     )
-    return generate_multi_tenant_trace(
+    return multi_tenant_stream(
         tenants, seed=seed, slo=SLOTarget(ttft_s=0.5, latency_s=2.0)
-    )
+    ).materialize()
 
 
 class TestPreemptionEquivalence:
@@ -630,7 +634,7 @@ class TestKVStateEquivalence:
         assert sum(t.preemptions for t in result.tenants.values()) > 0
 
     def test_mid_epoch_split(self, tiny_arch, small_wafer_config):
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
 
         tenants = (
             TenantSpec(name="chat", workload="lp200_ld32", num_requests=4,
@@ -644,7 +648,7 @@ class TestKVStateEquivalence:
                                 "dynamic", **self.PRESSURE)
 
         _, result = self._check(
-            build, lambda: generate_multi_tenant_trace(tenants, seed=11)
+            build, lambda: multi_tenant_stream(tenants, seed=11).materialize()
         )
         assert result.extra["split_epochs"] > 0
         assert result.evictions > 0
@@ -709,7 +713,7 @@ class TestCheckpointResume:
     POLICIES = ["fcfs", "wfq", "priority"]
 
     def _policy_trace(self, seed=3):
-        from repro.workload.generator import TenantSpec, generate_multi_tenant_trace
+        from repro.workload.generator import TenantSpec
         from repro.workload.requests import SLOTarget
 
         tenants = (
@@ -718,9 +722,9 @@ class TestCheckpointResume:
             TenantSpec(name="batch", workload="lp96_ld8", num_requests=4,
                        arrival_rate_per_s=20.0),
         )
-        return generate_multi_tenant_trace(
+        return multi_tenant_stream(
             tenants, seed=seed, slo=SLOTarget(ttft_s=0.5, latency_s=2.0)
-        )
+        ).materialize()
 
     def _suspend_resume(self, build, method, trace_fn, suspend_at):
         import json

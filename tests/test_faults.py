@@ -14,12 +14,13 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.pipeline.engine import PipelineConfig
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.sim.faults import FaultEvent, FaultPlan, make_fault_plan
 from repro.workload.distributions import UniformLengthDistribution
-from repro.workload.generator import TraceGenerator, WorkloadSpec
+from repro.workload.generator import WorkloadSpec
+from repro.workload.streams import stream_from_spec
 from repro.workload.requests import SLOTarget
 
 from .conftest import make_trace
@@ -114,6 +115,22 @@ class TestEngineFaultInjection:
         second = self._run(tiny_arch, small_wafer_config, plan)
         assert_bitwise_equal(first, second)
         assert first.faults.as_dict() == second.faults.as_dict()
+
+    @pytest.mark.parametrize("method", ["run", "run_scalar"])
+    def test_lone_sequence_kv_livelock_fails_fast(
+        self, tiny_arch, small_wafer_config, method
+    ):
+        """Failing cores 5, 6, 7 and 10 leaves sequence 0, alone, no room
+        for the growth after its first chunk.  Each stall evicts it, and it
+        is re-admitted to re-prefill the same chunk.  Those re-prefill epochs
+        process tokens, so only a completion may reset the stall count:
+        the run fails with the KV-fit error instead of spinning to the
+        epoch limit."""
+        plan = FaultPlan.parse(
+            "kv_core@1e-06:5,kv_core@0.0001:5,kv_core@0.0002:30,kv_core@0.0003:47"
+        )
+        with pytest.raises(SimulationError, match="does not fit"):
+            self._run(tiny_arch, small_wafer_config, plan, method)
 
     def test_kv_core_events_pick_the_historical_cores(
         self, tiny_arch, small_wafer_config
@@ -242,7 +259,7 @@ class TestOverloadShedding:
             seed=3,
             arrival_rate_per_s=rate_per_s,
         )
-        trace = TraceGenerator(spec).generate()
+        trace = stream_from_spec(spec).materialize()
         trace.slo = self.SLO
         return trace
 

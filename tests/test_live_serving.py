@@ -362,6 +362,32 @@ class TestSatellites:
         assert "queue_depth" in payload
         assert "admission_wait" in payload
 
+    def test_live_trace_shell_pops_no_request(self, monkeypatch):
+        """The daemon's empty trace shell carries the batch trace's metadata
+        without generating (and throwing away) the spec's requests."""
+        from repro.serving.daemon import ServingDaemon
+        from repro.workload.streams import RequestStream
+
+        spec = (
+            api.deployment("llama-13b")
+            .tenant("chat", "lp48_ld16", 50, 12.0,
+                    slo=api.SLOTarget(ttft_s=0.6), kv_quota=0.25)
+            .tenant("batch", "lp96_ld32", 20, 2.0)
+            .slo(latency_s=8.0)
+            .build()
+        )
+        expected = api.trace_for(spec)
+
+        def refuse(self):
+            raise AssertionError("the live trace shell popped a request")
+
+        monkeypatch.setattr(RequestStream, "pop", refuse)
+        shell = ServingDaemon(spec)._make_live_trace()
+        assert shell.requests == []
+        for field in ("spec", "slo", "tenant_slos", "tenant_quotas"):
+            assert getattr(shell, field) == getattr(expected, field)
+        assert shell.tenant_slos and shell.tenant_quotas
+
     def test_build_deployment_memo_is_thread_safe(self):
         api.clear_system_cache()
         spec = spec_for("fcfs")

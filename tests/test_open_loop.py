@@ -13,7 +13,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.workload.distributions import FixedLengthDistribution
-from repro.workload.generator import TraceGenerator, WorkloadSpec
+from repro.workload.generator import WorkloadSpec
+from repro.workload.streams import stream_from_spec
 
 from .conftest import make_trace
 from .test_engine_equivalence import build_engine
@@ -28,7 +29,7 @@ def arrival_trace(arrivals, prefill=48, decode=16):
         num_requests=len(arrivals),
         seed=0,
     )
-    trace = TraceGenerator(spec).generate()
+    trace = stream_from_spec(spec).materialize()
     trace.requests = [
         type(request)(
             request_id=request.request_id,

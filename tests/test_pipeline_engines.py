@@ -78,7 +78,8 @@ class TestStrategyComparison:
     def test_tgp_beats_sequence_grained_on_mixed_lengths(self, tiny_arch, small_wafer_config):
         """Variable-length workloads create bubbles only for the sequence pipeline."""
         from repro.workload.distributions import UniformLengthDistribution
-        from repro.workload.generator import TraceGenerator, WorkloadSpec
+        from repro.workload.generator import WorkloadSpec
+        from repro.workload.streams import stream_from_spec
 
         spec = WorkloadSpec(
             name="mixed",
@@ -88,8 +89,8 @@ class TestStrategyComparison:
             num_requests=10,
             seed=3,
         )
-        trace_a = TraceGenerator(spec).generate()
-        trace_b = TraceGenerator(spec).generate()
+        trace_a = stream_from_spec(spec).materialize()
+        trace_b = stream_from_spec(spec).materialize()
         tgp = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config).run(trace_a)
         seq = build_engine(SequenceGrainedPipeline, tiny_arch, small_wafer_config).run(trace_b)
         assert tgp.throughput_tokens_per_s > seq.throughput_tokens_per_s

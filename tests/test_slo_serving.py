@@ -18,13 +18,9 @@ from repro.api import DeploymentSpec, deployment
 from repro.errors import ConfigurationError
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.workload.distributions import FixedLengthDistribution
-from repro.workload.generator import (
-    TenantSpec,
-    TraceGenerator,
-    WorkloadSpec,
-    generate_multi_tenant_trace,
-)
+from repro.workload.generator import TenantSpec, WorkloadSpec
 from repro.workload.requests import SLOTarget
+from repro.workload.streams import multi_tenant_stream, stream_from_spec
 
 from .test_engine_equivalence import build_engine
 
@@ -43,7 +39,7 @@ def staggered_trace(arrivals, prefill=48, decode=16):
         distribution=FixedLengthDistribution(prefill_length=prefill, decode_length=decode),
         num_requests=len(arrivals),
     )
-    trace = TraceGenerator(spec).generate()
+    trace = stream_from_spec(spec).materialize()
     trace.requests = [
         type(request)(
             request_id=request.request_id,
@@ -63,8 +59,8 @@ def staggered_trace(arrivals, prefill=48, decode=16):
 
 class TestMultiTenantTrace:
     def test_deterministic(self):
-        first = generate_multi_tenant_trace(TENANTS, seed=7)
-        second = generate_multi_tenant_trace(TENANTS, seed=7)
+        first = multi_tenant_stream(TENANTS, seed=7).materialize()
+        second = multi_tenant_stream(TENANTS, seed=7).materialize()
         assert [
             (r.tenant, r.arrival_time, r.prefill_length, r.decode_length)
             for r in first
@@ -74,13 +70,13 @@ class TestMultiTenantTrace:
         ]
 
     def test_sorted_by_arrival_with_sequential_ids(self):
-        trace = generate_multi_tenant_trace(TENANTS, seed=0)
+        trace = multi_tenant_stream(TENANTS, seed=0).materialize()
         arrivals = [request.arrival_time for request in trace]
         assert arrivals == sorted(arrivals)
         assert [request.request_id for request in trace] == list(range(len(trace)))
 
     def test_tenant_ids_thread_through(self):
-        trace = generate_multi_tenant_trace(TENANTS, seed=0)
+        trace = multi_tenant_stream(TENANTS, seed=0).materialize()
         counts = {}
         for request in trace:
             counts[request.tenant] = counts.get(request.tenant, 0) + 1
@@ -91,9 +87,9 @@ class TestMultiTenantTrace:
         tenant's sampled request lengths."""
         from dataclasses import replace
 
-        base = generate_multi_tenant_trace(TENANTS, seed=0)
+        base = multi_tenant_stream(TENANTS, seed=0).materialize()
         perturbed_tenants = (TENANTS[0], replace(TENANTS[1], arrival_rate_per_s=1.0))
-        perturbed = generate_multi_tenant_trace(perturbed_tenants, seed=0)
+        perturbed = multi_tenant_stream(perturbed_tenants, seed=0).materialize()
 
         def chat_lengths(trace):
             return [
@@ -106,20 +102,20 @@ class TestMultiTenantTrace:
 
     def test_duplicate_tenant_names_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
-            generate_multi_tenant_trace(
+            multi_tenant_stream(
                 (TENANTS[0], TENANTS[0]), seed=0
-            )
+            ).materialize()
 
     def test_empty_tenants_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one"):
-            generate_multi_tenant_trace((), seed=0)
+            multi_tenant_stream((), seed=0).materialize()
 
     def test_tenant_slos_attached(self):
         from dataclasses import replace
 
         slo = SLOTarget(ttft_s=0.1)
         tenants = (replace(TENANTS[0], slo=slo), TENANTS[1])
-        trace = generate_multi_tenant_trace(tenants, seed=0, slo=SLOTarget(ttft_s=9.0))
+        trace = multi_tenant_stream(tenants, seed=0, slo=SLOTarget(ttft_s=9.0)).materialize()
         assert trace.slo_for("chat") == slo
         assert trace.slo_for("batch") == SLOTarget(ttft_s=9.0)
 
@@ -159,7 +155,7 @@ class TestTenantStats:
     def served(self, tiny_arch, small_wafer_config):
         engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic")
         slo = SLOTarget(ttft_s=0.05, latency_s=0.5)
-        trace = generate_multi_tenant_trace(TENANTS, seed=1, slo=slo)
+        trace = multi_tenant_stream(TENANTS, seed=1, slo=slo).materialize()
         return engine, engine.run(trace), slo
 
     def test_tenant_counts_sum_to_aggregate(self, served):
@@ -203,7 +199,7 @@ class TestTenantStats:
 
     def test_no_slo_means_no_goodput(self, tiny_arch, small_wafer_config):
         engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic")
-        result = engine.run(generate_multi_tenant_trace(TENANTS, seed=1))
+        result = engine.run(multi_tenant_stream(TENANTS, seed=1).materialize())
         assert result.goodput is None
         assert all(stats.goodput is None for stats in result.tenants.values())
 
@@ -362,7 +358,7 @@ class TestPolicyServingInvariants:
         )
         slo = SLOTarget(ttft_s=0.05, latency_s=0.5)
         result = engine.run(
-            generate_multi_tenant_trace(POLICY_TENANTS, seed=1, slo=slo)
+            multi_tenant_stream(POLICY_TENANTS, seed=1, slo=slo).materialize()
         )
         completed = engine.scheduler.completed
         assert len(completed) == sum(t.num_requests for t in POLICY_TENANTS)
@@ -387,7 +383,7 @@ class TestPolicyServingInvariants:
             TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic",
             scheduling_policy=policy,
         )
-        trace = generate_multi_tenant_trace(POLICY_TENANTS, seed=2)
+        trace = multi_tenant_stream(POLICY_TENANTS, seed=2).materialize()
         result = engine.run(trace)
         assert len(engine.scheduler.completed) == len(trace)
         assert result.output_tokens == trace.total_decode_tokens
@@ -416,7 +412,7 @@ class TestPolicyServingInvariants:
             TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic",
             scheduling_policy="wfq",
         )
-        trace = generate_multi_tenant_trace(POLICY_TENANTS, seed=3)
+        trace = multi_tenant_stream(POLICY_TENANTS, seed=3).materialize()
         engine.run(trace)
         assert all(record.tokens > 0 for record in engine.epochs)
         # Completions never stall past the last arrival plus total service.
@@ -489,10 +485,10 @@ class TestTenantQuotaServing:
             TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic",
             blocks_per_core=2, kv_cores=24, chunk=64,
         )
-        trace = generate_multi_tenant_trace(
+        trace = multi_tenant_stream(
             self._pressure_tenants(batch_quota), seed=11,
             slo=SLOTarget(ttft_s=0.5, latency_s=2.0),
-        )
+        ).materialize()
         return engine, engine.run(trace)
 
     def test_zero_quota_tenant_shed_at_admission(self, tiny_arch, small_wafer_config):

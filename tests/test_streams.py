@@ -1,18 +1,19 @@
-"""Lazy request streams: bitwise equivalence with the materialised path.
+"""Lazy request streams: bitwise equivalence with the retired eager generators.
 
 The load-bearing claims pinned here:
 
 * :func:`multi_tenant_stream` / :func:`stream_from_spec` emit *bitwise* the
-  requests the materialising generators produce — same ids, lengths,
-  arrival times, tenant fields — including under heavy arrival-time
-  collisions, where the heap tie-break must reproduce the materialised
-  ``sort`` order exactly;
-* serving a :class:`StreamingTrace` is bit-for-bit equal to serving the
-  materialised trace, across scheduling policies, open-loop arrivals,
-  evictions, shedding, and both the fast and scalar engine paths —
-  streaming is an execution knob, never a semantics knob;
+  requests the retired eager generators produced (inlined below as oracles)
+  — same ids, lengths, arrival times, tenant fields — including under heavy
+  arrival-time collisions, where the heap tie-break must reproduce the
+  eager ``sort`` order exactly;
+* the engine's two intakes agree: a :class:`StreamingTrace` pulled through
+  ``attach_stream`` serves bit-for-bit like its materialised list submitted
+  up front, across scheduling policies, open-loop arrivals, evictions,
+  shedding, and both the fast and scalar engine paths;
 * suspend/resume captures the stream cursor and the accumulator state, so a
-  streaming run survives a JSON checkpoint round trip bit for bit;
+  streaming run survives a JSON checkpoint round trip bit for bit, and a
+  checkpoint of a materialised run still resumes through ``serve``;
 * resident memory really is O(active sequences): the tracemalloc peak of a
   4x longer streaming run stays within a constant factor (slow test).
 """
@@ -24,17 +25,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import DeploymentSpec, serve, stream_for, trace_for
+from repro.api import DeploymentSpec, build_deployment, serve, stream_for, trace_for
 from repro.errors import ConfigurationError
 from repro.pipeline.checkpoint import EngineCheckpoint
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.workload.distributions import FixedLengthDistribution, get_distribution
-from repro.workload.generator import (
-    TenantSpec,
-    TraceGenerator,
-    WorkloadSpec,
-    generate_multi_tenant_trace,
-)
+from repro.workload.generator import TenantSpec, Trace, WorkloadSpec
 from repro.workload.requests import Request, SLOTarget
 from repro.workload.streams import (
     StreamingTrace,
@@ -55,10 +51,10 @@ def with_pipeline(spec, **overrides):
 
 
 def materialised_oracle(tenants, seed=0):
-    """The retired eager generator, inlined verbatim as the reference.
+    """The retired eager multi-tenant generator, inlined as the reference.
 
-    ``generate_multi_tenant_trace`` is now a shim draining the stream, so it
-    cannot serve as its own oracle; this reproduces the original
+    Every trace is now drawn by the stream (``trace_for`` drains it), so the
+    stream cannot serve as its own oracle; this reproduces the original
     draw-sort-enumerate algorithm request for request.
     """
     rows = []
@@ -91,6 +87,27 @@ def materialised_oracle(tenants, seed=0):
     ]
 
 
+def single_tenant_oracle(spec):
+    """The retired eager single-tenant generator loop, inlined as the reference."""
+    rng = np.random.default_rng(spec.seed)
+    arrival_rng = np.random.default_rng((spec.seed, 1))
+    requests = []
+    arrival = 0.0
+    for request_id in range(spec.num_requests):
+        sample = spec.distribution.sample(rng)
+        if spec.arrival_rate_per_s > 0:
+            arrival += float(arrival_rng.exponential(1.0 / spec.arrival_rate_per_s))
+        requests.append(
+            Request(
+                request_id=request_id,
+                prefill_length=sample.prefill_length,
+                decode_length=sample.decode_length,
+                arrival_time=arrival,
+            )
+        )
+    return requests
+
+
 TENANTS = (
     TenantSpec(name="interactive", workload="lp48_ld16", num_requests=40,
                arrival_rate_per_s=80.0, weight=3.0, priority=1),
@@ -107,8 +124,9 @@ class TestStreamBitwiseEquivalence:
         assert emitted == materialised_oracle(TENANTS, seed=7)
 
     def test_shim_trace_equals_oracle(self):
-        trace = generate_multi_tenant_trace(TENANTS, seed=7)
-        assert trace.requests == materialised_oracle(TENANTS, seed=7)
+        spec = DeploymentSpec(model="llama-13b", workload="wikitext2",
+                              tenants=TENANTS, seed=7)
+        assert trace_for(spec).requests == materialised_oracle(TENANTS, seed=7)
 
     def test_single_tenant_stream_matches_generator(self):
         spec = WorkloadSpec(
@@ -118,11 +136,12 @@ class TestStreamBitwiseEquivalence:
             seed=11,
             arrival_rate_per_s=40.0,
         )
-        eager = TraceGenerator(spec).generate()
-        lazy = stream_from_spec(spec).materialize()
-        assert lazy.requests == eager.requests
-        assert lazy.mean_prefill_length == eager.mean_prefill_length
-        assert lazy.mean_decode_length == eager.mean_decode_length
+        eager = Trace(spec=spec, requests=single_tenant_oracle(spec))
+        streaming = stream_from_spec(spec)
+        assert streaming.materialize().requests == eager.requests
+        # The drained stream's running means equal the list's.
+        assert streaming.mean_prefill_length == eager.mean_prefill_length
+        assert streaming.mean_decode_length == eager.mean_decode_length
 
     def test_collision_heavy_tie_break(self):
         """All-zero arrivals: every request ties, ids must follow sort order.
@@ -180,12 +199,14 @@ class TestStreamBitwiseEquivalence:
 
 
 class TestStreamingServeEquivalence:
-    """api.serve(spec, streaming=True) == api.serve(spec), bit for bit."""
+    """Both engine intakes serve a spec bit for bit alike on one system:
+    the stream pulled through ``attach_stream`` and its list submitted."""
 
     def assert_serve_matches(self, spec):
-        batch = serve(spec)
-        streamed = serve(spec, streaming=True)
-        assert streamed.as_dict() == batch.as_dict()
+        system = build_deployment(spec)
+        streamed = system.serve(stream_for(spec), workload_name=spec.label())
+        submitted = system.serve(trace_for(spec), workload_name=spec.label())
+        assert streamed.as_dict() == submitted.as_dict()
 
     def test_open_loop_fcfs(self):
         self.assert_serve_matches(DeploymentSpec(
@@ -264,7 +285,7 @@ class TestStreamingServeEquivalence:
         # ... and both equal the materialised run.
         engine = build_engine(TokenGrainedPipeline, tiny_arch,
                               small_wafer_config, "dynamic")
-        batch = engine.run(TraceGenerator(spec).generate())
+        batch = engine.run(stream_from_spec(spec).materialize())
         assert fast.as_dict() == batch.as_dict()
 
 
@@ -275,8 +296,8 @@ class TestStreamingCheckpointResume:
     )
 
     def test_suspend_resume_bitwise(self, tmp_path):
-        uninterrupted = serve(self.SPEC, streaming=True)
-        checkpoint = serve(self.SPEC, streaming=True, suspend_at_epoch=30)
+        uninterrupted = serve(self.SPEC)
+        checkpoint = serve(self.SPEC, suspend_at_epoch=30)
         assert isinstance(checkpoint, EngineCheckpoint)
         assert checkpoint.stream_cursor >= 0
         assert checkpoint.accumulator is not None
@@ -284,19 +305,25 @@ class TestStreamingCheckpointResume:
         path = tmp_path / "ckpt.json"
         checkpoint.save(path)
         restored = EngineCheckpoint.load(path)
-        resumed = serve(self.SPEC, streaming=True, resume_from=restored)
+        resumed = serve(self.SPEC, resume_from=restored)
         assert resumed.as_dict() == uninterrupted.as_dict()
 
     def test_streaming_checkpoint_needs_streaming_resume(self):
-        checkpoint = serve(self.SPEC, streaming=True, suspend_at_epoch=30)
-        with pytest.raises(ConfigurationError):
-            serve(self.SPEC, streaming=False, resume_from=checkpoint)
-
-    def test_batch_checkpoint_resumes_under_streaming_auto(self):
-        """A non-streaming checkpoint still resumes on the default path."""
         checkpoint = serve(self.SPEC, suspend_at_epoch=30)
+        system = build_deployment(self.SPEC)
+        with pytest.raises(ConfigurationError, match="streaming run"):
+            system.serve(trace_for(self.SPEC), resume_from=checkpoint)
+
+    def test_batch_checkpoint_resumes_under_streaming_auto(self, tmp_path):
+        """A checkpoint of a materialised run (cursor -1, e.g. a file an
+        earlier ``serve --suspend-epoch`` wrote) resumes through ``serve``,
+        whose stream drains to stand in for the submitted list."""
+        system = build_deployment(self.SPEC)
+        checkpoint = system.serve(trace_for(self.SPEC), suspend_at_epoch=30)
         assert checkpoint.stream_cursor == -1
-        resumed = serve(self.SPEC, resume_from=checkpoint)
+        path = tmp_path / "ckpt.json"
+        checkpoint.save(path)
+        resumed = serve(self.SPEC, resume_from=EngineCheckpoint.load(path))
         assert resumed.as_dict() == serve(self.SPEC).as_dict()
 
 
@@ -318,14 +345,6 @@ class TestApiSurface:
         assert isinstance(streaming, StreamingTrace)
         assert streaming.slo == spec.slo
         assert streaming.materialize().requests == trace_for(spec).requests
-
-    def test_explicit_streaming_on_baseline_rejected(self):
-        spec = DeploymentSpec(
-            model="llama-13b", workload="wikitext2", num_requests=50,
-            system="dgx-a100",
-        )
-        with pytest.raises(ConfigurationError):
-            serve(spec, streaming=True)
 
     def test_workload_stream_iterates_lazily(self):
         streaming = workload_stream("wikitext2", num_requests=10, seed=1)

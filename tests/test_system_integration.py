@@ -13,9 +13,9 @@ from repro.sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     required_wafers,
 )
+from repro.workload.generator import generate_trace
 
 from .conftest import make_trace
 
@@ -25,9 +25,13 @@ def system(tiny_arch, small_system_config):
     return OuroborosSystem(tiny_arch, small_system_config, auto_scale_wafers=False)
 
 
+def built_system(arch, config):
+    return OuroborosSystem(arch, config, auto_scale_wafers=False).built
+
+
 class TestBuild:
     def test_build_partitions_cores(self, tiny_arch, small_system_config):
-        built = build_system(tiny_arch, small_system_config)
+        built = built_system(tiny_arch, small_system_config)
         assert built.num_weight_cores == 8
         assert built.num_kv_cores > 0
         assert built.num_weight_cores + built.num_kv_cores <= built.healthy_cores
@@ -47,22 +51,22 @@ class TestBuild:
 
     def test_static_kv_policy(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, kv_policy=KVPolicy.STATIC)
-        built = build_system(tiny_arch, config)
+        built = built_system(tiny_arch, config)
         assert isinstance(built.kv_manager, StaticKVCacheManager)
 
     def test_dynamic_kv_policy_default(self, tiny_arch, small_system_config):
-        built = build_system(tiny_arch, small_system_config)
+        built = built_system(tiny_arch, small_system_config)
         assert isinstance(built.kv_manager, DistributedKVCacheManager)
 
     def test_defect_modelling(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, model_defects=True, defect_seed=1)
-        built = build_system(tiny_arch, config)
+        built = built_system(tiny_arch, config)
         assert built.defect_maps[0] is not None
         assert built.healthy_cores <= built.total_cores
 
     def test_naive_mapping_has_more_hops(self, tiny_arch, small_system_config):
-        optimized = build_system(tiny_arch, small_system_config)
-        naive = build_system(
+        optimized = built_system(tiny_arch, small_system_config)
+        naive = built_system(
             tiny_arch,
             dataclasses.replace(
                 small_system_config, mapping_strategy=MappingStrategy.NAIVE
@@ -79,7 +83,7 @@ class TestBuild:
 
     def test_model_too_big_for_small_wafer_rejected(self, small_arch, small_system_config):
         with pytest.raises(MappingError):
-            build_system(small_arch, small_system_config)
+            built_system(small_arch, small_system_config)
 
 
 class TestServe:
@@ -138,7 +142,8 @@ class TestServe:
 
     def test_serve_workload_by_name(self, tiny_arch, small_system_config):
         system = OuroborosSystem(tiny_arch, small_system_config, auto_scale_wafers=False)
-        result = system.serve_workload("lp128_ld2048", num_requests=2)
+        trace = generate_trace("lp128_ld2048", num_requests=2)
+        result = system.serve(trace, workload_name="lp128_ld2048")
         assert result.workload == "lp128_ld2048"
         assert result.output_tokens == 2 * 2048
 
@@ -146,7 +151,7 @@ class TestServe:
 class TestMultiWafer:
     def test_two_wafer_build(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, num_wafers=2)
-        built = build_system(tiny_arch, config)
+        built = built_system(tiny_arch, config)
         assert len(built.wafers) == 2
         assert len(built.mappings) == 2
         # One transformer block mapped per wafer.

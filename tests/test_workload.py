@@ -10,7 +10,8 @@ from repro.workload.distributions import (
     WikiTextLikeDistribution,
     get_distribution,
 )
-from repro.workload.generator import TraceGenerator, WorkloadSpec, generate_trace, make_workload
+from repro.workload.generator import WorkloadSpec, generate_trace, make_workload
+from repro.workload.streams import stream_from_spec
 from repro.workload.requests import Request, Sequence, SequencePhase
 
 
@@ -83,7 +84,7 @@ class TestTraceGeneration:
             num_requests=20,
             arrival_rate_per_s=100.0,
         )
-        trace = TraceGenerator(spec).generate()
+        trace = stream_from_spec(spec).materialize()
         arrivals = [r.arrival_time for r in trace]
         assert arrivals == sorted(arrivals)
         assert arrivals[-1] > 0
