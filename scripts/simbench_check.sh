@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the repo benchmark's own correctness checks without caring about its
-# timings: every workload once untraced, and stream_wikitext once traced.
+# timings: every workload once untraced, and stream_wikitext and
+# tenant_overload (whose fault plan fails KV and weight cores) once traced.
 # simbench/run.py ends each run with one JSON line; this script fails unless
 # that line reports "correct": true and "failed": 0.  That catches a fast !=
 # scalar engine divergence, a request-conservation break, or a traced run
@@ -32,3 +33,4 @@ for workload in stream_wikitext tenant_overload closed_grid; do
     check "$workload" 0
 done
 check stream_wikitext 1
+check tenant_overload 1

@@ -15,39 +15,40 @@ logical blocks; each crossbar's free-block table tracks valid rows.
 The groups stack into *ring rows* of equal width (K row, then V row, block
 by block), and every admission advances every block's ring pointer by
 ``kv_heads`` -- so the pointers move in lockstep and are kept as one number.
-The block occupancy lives in one of two accountings:
+The block occupancy is kept over *ring-row groups*: rows whose cores hold
+identical occupancy share a group, and a group keeps one free-block count per
+ring column -- a *unit*, standing for that column's core in every row of the
+group.  An allocation is the units it touches and its slots on each core a
+unit stands for, so admission, growth, release and
+:meth:`~DistributedKVCacheManager.sequences_on_core` touch ``kv_heads``
+entries per group instead of one per (block, head, K/V) slot's core.
 
-* **Column accounting**, the start state.  While no KV core has failed and
-  no core sits in two ring rows, every row's walk hands out the same ring
-  columns, so the cores of one column (one per row) hold identical
-  occupancy.  Free blocks are then kept per ring column, and each
-  allocation as the ring column of every KV head plus a slot count per
-  column: admission, growth, release and :meth:`sequences_on_core` touch
-  ``kv_heads`` entries instead of one per (block, head, K/V) slot's core.
-* **Per-core accounting**.  A failed core leaves its row skipping a column
-  the other rows still use, so the first
-  :meth:`~DistributedKVCacheManager.fail_core` expands the state to free
-  blocks per core and each allocation's cores and slot counts, which stay
-  the accounting from then on.  Layouts with fewer KV cores than ring rows
-  (one core in several rows) start in it.
+* While no KV core has failed, every row's walk hands out the same columns,
+  so every row sits in one group: one count per ring column.
+* A failed core leaves its row skipping a column the other rows still use,
+  so :meth:`~DistributedKVCacheManager.fail_core` first moves that row into
+  a group of its own.  With k failed cores in distinct rows there are at
+  most k + 1 groups, however many rows the model has.
+* Layouts with fewer KV cores than ring rows (one core in several rows)
+  start with one group per row, whose units are single cores.
 
-Either way the free and healthy block totals are O(1) running counters, and
-the per-block page tables are exact views built from the allocations on
-lookup (:class:`~repro.kvcache.pagetable.PlacementPageTables`), so admission
-and release never touch per-block tables.  Checkpoints always hold the
-per-core view; restoring one in which no core had failed re-enters the
-column accounting.
+The free and healthy block totals are O(1) running counters, and the
+per-block page tables are exact views built from the allocations on lookup
+(:class:`~repro.kvcache.pagetable.PlacementPageTables`), so admission and
+release never touch per-block tables.  Checkpoints always hold the per-core
+view; restoring one rebuilds the exact per-core state and merges the rows
+that match exactly back into groups.
 
 Token growth is split by what it costs.  Most growth stays inside the
 sequence's last logical block and only counts tokens.  A growth that crosses
-a block boundary allocates, but it cannot fail while no tenant quota is set
-and the free floor covers every crossing of the epoch at once.  The serving
-engine asks :meth:`DistributedKVCacheManager.growth_events` once per epoch
-which growths could fail (all crossings, when the floor falls short or a
-quota is set), sends only those through
-:meth:`~DistributedKVCacheManager.append_tokens`, and records the rest with
-:meth:`~DistributedKVCacheManager.commit_tokens` calls that allocate their
-crossings together: they are commits, not events.
+a block boundary allocates, but it cannot be refused while its tenant's quota
+has room and the *free floor* -- a running lower bound on every unit's free
+blocks -- covers it.  The serving engine hands an epoch's growths to
+:meth:`~DistributedKVCacheManager.commit_tokens`, which commits them in order
+for as long as each cannot be refused and allocates the crossings together;
+only the next one goes through
+:meth:`~DistributedKVCacheManager.append_tokens`, which may fail and so
+evict.
 """
 
 from __future__ import annotations
@@ -106,13 +107,11 @@ class KVCacheStats:
 class _SequenceAllocation:
     """Internal record of one resident sequence's KV allocation.
 
-    The slot multiplicity is stored sparsely over the accounting's units --
-    ring columns under column accounting, local core indices under per-core
-    accounting: ``units`` holds the units the sequence touches, ascending,
-    and ``unit_counts`` the (block, head, K/V) slots on each of their cores
-    (a column's count holds on the column's core in every ring row).  Growth
-    and release then scale with the sequence's footprint instead of the
-    total KV-core count.
+    The slot multiplicity is stored sparsely over the manager's units:
+    ``units`` holds the units the sequence touches, ascending, and
+    ``unit_counts`` the (block, head, K/V) slots on each core a unit stands
+    for.  Growth and release then scale with the sequence's footprint
+    instead of the total KV-core count.
     """
 
     sequence_id: int
@@ -122,13 +121,15 @@ class _SequenceAllocation:
     total_slots: int
     blocks_per_slot: int
     tokens: int
-    #: where the slots sit -- the source of the page-table views.  Under
-    #: column accounting the ring column of each KV head (the same in every
-    #: ring row); under per-core accounting the global core id of every
-    #: (transformer block, K/V, head) slot, one row per block and group (K
-    #: row, then V row) and one column per KV head
+    #: where the slots sit -- the source of the page-table views: the ring
+    #: column of each KV head, one row per group (a single row when there
+    #: was one group), and ``rows`` the group of every ring row at admission.
+    #: With ``rows`` None (restored from a checkpoint) the global core id of
+    #: every (transformer block, K/V, head) slot instead, one row per block
+    #: and group (K row, then V row) and one column per KV head
     placement: npt.NDArray[np.int64]
-    #: slots on failed cores (per-core accounting only)
+    rows: npt.NDArray[np.int64] | None
+    #: slots on failed cores
     failed_slots: int = 0
     #: most slots on one touched core
     max_slots: int = field(init=False)
@@ -188,19 +189,13 @@ class DistributedKVCacheManager:
         num_cores = len(self.kv_core_ids)
         self._allocations: dict[int, _SequenceAllocation] = {}
         self._failed_cores: set[int] = set()
-        #: local core index -> failed (kept in step with ``_failed_cores``)
-        self._failed_mask = np.zeros(num_cores, dtype=bool)
         #: O(1) running totals (kept in sync by every allocation mutation)
         self._free_total = num_cores * blocks_per_core
         self._free_on_failed = 0
-        #: a lower bound on every core's free blocks, lowered by each
+        #: a lower bound on every unit's free blocks, lowered by each
         #: reservation and re-measured only when a growth needs more: while it
         #: covers a growth, no touched core can be short of blocks
         self._free_floor = blocks_per_core
-        #: no resident allocation holds more slots on one unit than this (a
-        #: running maximum): a growth of ``delta`` blocks per slot takes at
-        #: most ``_slots_bound * delta`` blocks from any one unit
-        self._slots_bound = 0
         self._threshold_blocks = int(self.threshold * blocks_per_core)
         self._block_bytes = self.tokens_per_block * arch.head_dim * self.element_bytes
 
@@ -223,17 +218,29 @@ class DistributedKVCacheManager:
         #: width from any pointer is a plain slice, no modulo
         self._ring_doubled = np.concatenate([np.arange(width, dtype=np.int64)] * 2)
         self._head_range = np.arange(arch.kv_heads, dtype=np.int64)
-        #: whether the accounting is per ring column (else per core)
-        self._columns = self._columns_fit()
-        #: free blocks per accounting unit: per ring column under column
-        #: accounting, per core under per-core accounting
+        #: every admission reserves one slot per (ring row, KV head)
+        self._slots_per_sequence = rows * arch.kv_heads
+        # The group of every ring row (replaced, never written in place:
+        # allocations keep the array of their admission) and each group's
+        # unit per ring column.
+        if self._rows_share_groups():
+            # One group of every row: its units are the ring columns.
+            self._row_group = np.zeros(rows, dtype=np.int64)
+            self._group_units = np.arange(width, dtype=np.int64)[None, :]
+        else:
+            # One group per row, whose units are its cores.
+            self._row_group = np.arange(rows, dtype=np.int64)
+            self._group_units = self._ring_matrix
+        #: free blocks on each core a unit stands for, and whether that
+        #: (single) core failed
         self._free = np.full(
-            width if self._columns else num_cores, blocks_per_core, dtype=np.int64
+            int(self._group_units.max()) + 1, blocks_per_core, dtype=np.int64
         )
+        self._unit_failed = np.zeros(len(self._free), dtype=bool)
 
-    # Core-id translations, built on first use: under column accounting only
-    # faults, checkpoints and page-table lookups need them, so most runs
-    # never pay for tables over every KV core.
+    # Core-id translations, built on first use: only faults, checkpoints and
+    # page-table lookups need them, so most runs never pay for tables over
+    # every KV core.
 
     @cached_property
     def _core_index(self) -> dict[int, int]:
@@ -363,9 +370,9 @@ class DistributedKVCacheManager:
         Cores whose free space is below the reservation threshold (or that have
         failed) are skipped for *new* allocations; if fewer than ``count``
         usable cores exist, cores may be reused for several heads.  This is
-        the reference walk of one group; admission walks every group at once
-        through :meth:`_select_columns` or :meth:`_walk_all_groups`, which
-        the tests hold equal to it.
+        the reference walk of one ring row; admission walks every ring-row
+        group at once through :meth:`_walk`, which the tests hold equal to
+        it.
         """
         threshold_blocks = self._threshold_blocks
         free_blocks = self._core_free()
@@ -386,57 +393,50 @@ class DistributedKVCacheManager:
             usable.append(usable[len(usable) % max(1, len(usable))])
         return usable[:count]
 
-    def _select_columns(self) -> npt.NDArray[np.int64] | None:
-        """Column accounting's ring walk: the column of each KV head.
-
-        Every ring row's walk is the same walk over the columns: from the
-        pointer, the first ``kv_heads`` columns holding more than the
-        threshold free blocks, padded with the first of them when fewer are
-        usable.  None when no column is usable.
-        """
-        width = self._ring_width
-        order = self._ring_doubled[self._ring_pointer:self._ring_pointer + width]
-        found = order[self._free[order] > self._threshold_blocks]
-        heads = self.arch.kv_heads
-        if len(found) >= heads:
-            return found[:heads]
-        if not len(found):
-            return None
-        return np.concatenate([found, np.repeat(found[:1], heads - len(found))])
-
-    def _walk_all_groups(self) -> npt.NDArray[np.int64] | None:
-        """Per-core accounting's ring walk: :meth:`_select_cores` for every
-        (block, K/V) group at once.
+    def _walk(self) -> npt.NDArray[np.int64] | None:
+        """Every group's ring walk at once: :meth:`_select_cores` per group.
 
         Each group hands out, in ring order from the pointer, the first
-        ``kv_heads`` cores that have not failed and hold more than the
-        threshold free blocks, and pads with the first of them when fewer
-        are usable.  Returns local core indices of shape
-        ``(2 * num_blocks, kv_heads)``, rows alternating K group / V group
-        per block; None when some group has no usable core.
+        ``kv_heads`` columns whose unit has not failed and holds more than
+        the threshold free blocks, and pads with the first of them when fewer
+        are usable.  Returns the column of each KV head -- one row per group,
+        or a flat row while there is one group -- and None when some group
+        has no usable column.
         """
-        matrix = self._ring_matrix
         width = self._ring_width
-        heads = len(self._head_range)
-        usable = self._free[matrix] > self._threshold_blocks
-        if self._failed_cores:
-            usable &= ~self._failed_mask[matrix]
-        # Column j: whether the core j steps round the ring from the pointer
-        # is usable.
         pointer = self._ring_pointer
+        heads = len(self._head_range)
+        table = self._group_units
+        if len(table) == 1:
+            # One group never holds a failed unit, and its units are the
+            # columns themselves.
+            order = self._ring_doubled[pointer:pointer + width]
+            found = order[self._free[order] > self._threshold_blocks]
+            if len(found) >= heads:
+                return found[:heads]
+            if not len(found):
+                return None
+            return np.concatenate([found, np.repeat(found[:1], heads - len(found))])
+        usable = self._free[table] > self._threshold_blocks
+        if self._failed_cores:
+            usable &= ~self._unit_failed[table]
+        # Column j: whether the column j steps round the ring from the
+        # pointer is usable.
         in_order = np.concatenate([usable[:, pointer:], usable[:, :pointer]], axis=1)
         found = in_order.sum(axis=1)
         if not found.all():
             return None
         # A stable sort moves the usable steps to the front, in ring order;
-        # heads beyond a group's usable cores reuse its first one.
+        # heads beyond a group's usable columns reuse its first one.
         steps = np.argsort(~in_order, axis=1, kind="stable")[:, :heads]
         if width < heads:
             steps = np.concatenate(
                 [steps, np.repeat(steps[:, :1], heads - width, axis=1)], axis=1
             )
         steps = np.where(self._head_range < found[:, None], steps, steps[:, :1])
-        return np.take_along_axis(matrix, (pointer + steps) % width, axis=1)
+        steps += pointer
+        steps %= width
+        return steps
 
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
@@ -445,28 +445,26 @@ class DistributedKVCacheManager:
             raise KVCacheError(f"sequence {sequence_id} is already resident")
         self.last_failure_quota_bound = False
 
-        if self._tenant_quota_blocks:
+        reserve = self._slots_per_sequence
+        if self._tenant_quota_blocks and not self._quota_allows(sequence.tenant, reserve):
             # At admission every sequence reserves exactly one block per
-            # (transformer block, KV head, K/V) slot, independent of where the
-            # ring places them -- so the quota check can run before any
-            # placement work.
-            reserve = 2 * self.arch.num_blocks * self.arch.kv_heads
-            if not self._quota_allows(sequence.tenant, reserve):
-                self.stats.failed_admissions += 1
-                self.stats.quota_rejections += 1
-                self.last_failure_quota_bound = True
-                return False
+            # slot, wherever the ring places them: the quota check runs
+            # before any placement work.
+            self.stats.failed_admissions += 1
+            self.stats.quota_rejections += 1
+            self.last_failure_quota_bound = True
+            return False
 
-        if self._columns:
-            selection = self._select_columns()
-            rows = len(self._ring_matrix)  # a column's count holds on every row
-        else:
-            selection = self._walk_all_groups()
-            rows = 1
-        if selection is None:
+        columns = self._walk()
+        if columns is None:
             self.stats.failed_admissions += 1
             return False
-        units, unit_counts = _slot_counts(selection, len(self._free))
+        if columns.ndim == 1:
+            units, unit_counts = _slot_counts(columns, self._ring_width)
+        else:
+            units, unit_counts = _slot_counts(
+                np.take_along_axis(self._group_units, columns, axis=1), len(self._free)
+            )
         if (self._free[units] < unit_counts).any():
             self.stats.failed_admissions += 1
             return False
@@ -474,22 +472,19 @@ class DistributedKVCacheManager:
             sequence_id=sequence_id,
             units=units,
             unit_counts=unit_counts,
-            total_slots=rows * int(unit_counts.sum()),
+            total_slots=reserve,
             blocks_per_slot=1,
             tokens=0,
-            placement=(
-                selection if self._columns else self._core_ids_array[selection]
-            ),
+            placement=columns,
+            rows=self._row_group,
         )
-        total_reserved = allocation.total_slots
         self._reserve(units, unit_counts, allocation.max_slots)
-        self._free_total -= total_reserved
-        self._charge_tenant(sequence.tenant, total_reserved)
+        self._free_total -= reserve
+        self._charge_tenant(sequence.tenant, reserve)
         self._allocations[sequence_id] = allocation
-        self._slots_bound = max(self._slots_bound, allocation.max_slots)
         self._ring_pointer = (self._ring_pointer + self.arch.kv_heads) % self._ring_width
         self.stats.admitted_sequences += 1
-        self.stats.allocated_blocks += total_reserved
+        self.stats.allocated_blocks += reserve
         self._update_peak()
         return True
 
@@ -530,62 +525,59 @@ class DistributedKVCacheManager:
         """Scheduler-protocol alias for :meth:`append_tokens` with one token."""
         return self.append_tokens(sequence, 1)
 
-    def growth_events(
-        self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
-    ) -> npt.NDArray[np.bool_]:
-        """Which growths must go through :meth:`append_tokens`, as one array query.
+    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> int:
+        """Append ``counts[i]`` tokens to ``sequences[i]``, in order, for as
+        long as each growth cannot be refused; return how many were committed.
 
-        ``cached[i]`` is the token count resident sequence *i* holds and
-        ``counts[i]`` the tokens it is about to append.  A growth that stays
-        inside the last logical block only counts tokens.  One that crosses
-        a block boundary reserves another block per slot, and it is an event
-        (True) only while it could fail or must be charged to a tenant: when
-        any tenant quota is set, or when the free floor -- re-measured once
-        if needed -- cannot cover every crossing of the batch together, at
-        the most blocks any one allocation takes from one unit.  Otherwise
-        no growth of the batch can fail, in any order, and
-        :meth:`commit_tokens` allocates the crossings itself.
-        """
-        # Blocks per slot for n tokens: ceil(max(n, 1) / per_block).
-        per_block = self.tokens_per_block
-        held = np.maximum(cached, 1)
-        held += per_block - 1
-        held //= per_block
-        deltas = cached + counts
-        np.maximum(deltas, 1, out=deltas)
-        deltas += per_block - 1
-        deltas //= per_block
-        deltas -= held
-        if not self._tenant_quota_blocks:
-            worst = self._slots_bound * int(np.add.reduce(deltas))
-            if self._free_floor < worst:
-                self._free_floor = int(self._free.min())
-            if self._free_floor >= worst:
-                return np.zeros(len(deltas), dtype=bool)
-        return deltas > 0
-
-    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
-        """Record growths that :meth:`growth_events` reported as no event.
-
-        Equivalent to ``append_tokens(sequence, count)`` returning True for
-        every pair in order.  The growths that cross a block boundary are
-        allocated together: one scatter into the free blocks and one
-        high-water-mark update, which is exact because occupancy only rises
-        within the batch.
+        Every committed pair is exactly ``append_tokens(sequence, count)``
+        returning True.  A growth cannot be refused when it stays inside the
+        sequence's last logical block, or when its tenant's quota has room
+        and the free floor -- re-measured at most once per call -- covers the
+        most blocks it takes from one unit.  Quotas are charged as the loop
+        goes; the crossings are allocated together, with one scatter into
+        the free blocks and one high-water-mark update (two when the floor
+        is re-measured after some), which is exact because occupancy only
+        rises within the call.  The first growth not committed must go
+        through :meth:`append_tokens`.
         """
         allocations = self._allocations
         per_block = self.tokens_per_block
-        crossings = []
+        quotas = self._tenant_quota_blocks
+        floor = self._free_floor
+        measured = False
+        growths: list[tuple[_SequenceAllocation, int]] = []
+        committed = 0
         for sequence, count in zip(sequences, counts):
             allocation = allocations[sequence.request.request_id]
-            allocation.tokens += count
-            if allocation.tokens > allocation.blocks_per_slot * per_block:
-                crossings.append(allocation)
-        if crossings:
-            self._grow([
-                (allocation, -(-allocation.tokens // per_block) - allocation.blocks_per_slot)
-                for allocation in crossings
-            ])
+            tokens = allocation.tokens + count
+            if tokens > allocation.blocks_per_slot * per_block:
+                delta = -(-tokens // per_block) - allocation.blocks_per_slot
+                blocks = allocation.total_slots * delta
+                tenant = sequence.request.tenant
+                if quotas and not self._quota_allows(tenant, blocks):
+                    break
+                most = allocation.max_slots * delta
+                if floor < most:
+                    if measured:
+                        break
+                    # Allocate what is pending, then measure the floor.
+                    measured = True
+                    if growths:
+                        self._grow(growths)
+                        growths = []
+                    floor = self._free_floor = int(self._free.min())
+                    if floor < most:
+                        break
+                floor -= most
+                self._charge_tenant(tenant, blocks)
+                growths.append((allocation, delta))
+            allocation.tokens = tokens
+            committed += 1
+        if growths:
+            self._grow(growths)
+        if committed:
+            self.last_failure_quota_bound = False
+        return committed
 
     def release(self, sequence: Sequence) -> None:
         """Free every block held by a sequence (completion or eviction)."""
@@ -641,20 +633,95 @@ class DistributedKVCacheManager:
         # mark is only ever raised here and at admission.
         self._update_peak()
 
-    # ------------------------------------------------------------ accountings
+    # --------------------------------------------------------- ring-row groups
 
-    def _columns_fit(self) -> bool:
-        """Whether column accounting can hold the state: no core has failed
-        and no core sits in two ring rows (there are at least as many cores
-        as rows)."""
-        return not self._failed_cores and len(self.kv_core_ids) >= len(self._ring_matrix)
+    def _rows_share_groups(self) -> bool:
+        """Whether ring rows may share a group: no core sits in two rows
+        (there are at least as many cores as rows)."""
+        return len(self.kv_core_ids) >= len(self._ring_matrix)
+
+    def _unit_map(self) -> npt.NDArray[np.int64]:
+        """The unit of every ring-row position, shaped like ``_ring_matrix``."""
+        return self._group_units[self._row_group]
+
+    def _unit_of(self, local: int) -> int | None:
+        """The unit standing for a local core; None outside every ring row."""
+        row, column = divmod(local, self._ring_width)
+        if row >= len(self._ring_matrix):
+            return None
+        return int(self._group_units[self._row_group[row], column])
+
+    def _isolate_row(self, row: int) -> None:
+        """Move a ring row into a group of its own (no-op if it is alone).
+
+        The new group's units copy the free blocks of the row's old units,
+        which from then on stand for one core fewer, and every resident
+        allocation gets the row's columns and slot counts on them.  A shared
+        group never holds a failed core, so no new unit starts failed.
+        """
+        group = int(self._row_group[row])
+        if np.count_nonzero(self._row_group == group) == 1:
+            return
+        width = self._ring_width
+        old = self._group_units[group]
+        base = len(self._free)
+        self._group_units = np.concatenate(
+            [self._group_units, np.arange(base, base + width, dtype=np.int64)[None, :]]
+        )
+        self._free = np.concatenate([self._free, self._free[old]])
+        self._unit_failed = np.concatenate([self._unit_failed, np.zeros(width, dtype=bool)])
+        row_group = self._row_group.copy()
+        row_group[row] = len(self._group_units) - 1
+        self._row_group = row_group
+        # old unit -> its ring column, -1 for every other unit
+        column_of = np.full(base, -1, dtype=np.int64)
+        column_of[old] = np.arange(width, dtype=np.int64)
+        for allocation in self._allocations.values():
+            columns = column_of[allocation.units]
+            moved = columns >= 0
+            allocation.units = np.concatenate([allocation.units, base + columns[moved]])
+            allocation.unit_counts = np.concatenate(
+                [allocation.unit_counts, allocation.unit_counts[moved]]
+            )
+
+    def _group_rows(
+        self,
+        core_free: npt.NDArray[np.int64],
+        failed: npt.NDArray[np.bool_],
+        held: npt.NDArray[np.int64],
+    ) -> None:
+        """Group the ring rows of a per-core state (``held``: one row of slots
+        per core for every allocation).
+
+        Where the layout lets rows share groups, rows holding no failed core
+        share one when they match exactly, column by column: free blocks and
+        every allocation's slots.  Group k's units are then ring columns
+        ``k * width`` onwards.  Otherwise every row is a group of its own,
+        whose units are its cores.
+        """
+        matrix = self._ring_matrix
+        rows, width = matrix.shape
+        if not self._rows_share_groups():
+            self._row_group = np.arange(rows, dtype=np.int64)
+            self._group_units = matrix
+            return
+        signatures = np.concatenate([core_free[matrix][None], held[:, matrix]])
+        signatures = signatures.transpose(1, 0, 2).reshape(rows, -1)
+        groups: dict[object, int] = {}
+        row_group = np.empty(rows, dtype=np.int64)
+        for row in range(rows):
+            key = row if failed[matrix[row]].any() else signatures[row].tobytes()
+            row_group[row] = groups.setdefault(key, len(groups))
+        self._row_group = row_group
+        self._group_units = np.arange(len(groups) * width, dtype=np.int64).reshape(-1, width)
 
     def _placement(self, allocation: _SequenceAllocation) -> npt.NDArray[np.int64]:
         """Global core id of every slot: one row per (block, K/V), one column
         per KV head."""
-        if self._columns:
-            return self._core_ids_array[self._ring_matrix[:, allocation.placement]]
-        return allocation.placement
+        if allocation.rows is None:
+            return allocation.placement
+        columns = np.atleast_2d(allocation.placement)[allocation.rows]
+        return self._core_ids_array[np.take_along_axis(self._ring_matrix, columns, axis=1)]
 
     def _placements(self) -> Iterator[tuple[int, npt.NDArray[np.int64]]]:
         """``(sequence id, placement)`` of every resident sequence, in admission
@@ -665,78 +732,21 @@ class DistributedKVCacheManager:
         )
 
     def _core_free(self) -> npt.NDArray[np.int64]:
-        """Free blocks of every core, in either accounting."""
-        if not self._columns:
-            return self._free
+        """Free blocks of every core."""
         free = np.full(self.num_kv_cores, self.blocks_per_core, dtype=np.int64)
-        free[self._ring_matrix] = self._free
+        free[self._ring_matrix] = self._free[self._unit_map()]
         return free
 
     def _core_units(
         self, allocation: _SequenceAllocation
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
         """An allocation's touched cores (ascending) and slots on each."""
-        if not self._columns:
-            return allocation.units, allocation.unit_counts
-        rows = len(self._ring_matrix)
-        return (
-            self._ring_matrix[:, allocation.units].ravel(),
-            np.tile(allocation.unit_counts, rows),
-        )
-
-    def _leave_columns(self) -> None:
-        """Expand column accounting to per-core accounting (no-op if already)."""
-        if not self._columns:
-            return
-        for allocation in self._allocations.values():
-            placement = self._placement(allocation)
-            allocation.units, allocation.unit_counts = self._core_units(allocation)
-            allocation.placement = placement
-        self._free = self._core_free()
-        self._columns = False
-
-    def _enter_columns(self) -> None:
-        """Fold per-core accounting back into column accounting, when the
-        layout allows it and every ring row holds the same occupancy."""
-        if self._columns or not self._columns_fit():
-            return
-        rows, width = self._ring_matrix.shape
-        # The ring rows tile the first rows x width cores in order, so row 0
-        # holds cores 0 .. width - 1 and a core there is its own column.
-        per_row = self._free[: rows * width].reshape(rows, width)
-        if (per_row != per_row[0]).any() or (
-            self._free[rows * width:] != self.blocks_per_core
-        ).any():
-            return
-        folded = []
-        for allocation in self._allocations.values():
-            # A column allocation follows from its head columns alone: rebuild
-            # it from them, and fold only if it gives back the per-core record.
-            columns = np.asarray(
-                [
-                    self._core_index.get(core, width)
-                    for core in allocation.placement[0].tolist()
-                ],
-                dtype=np.int64,
-            )
-            if (columns >= width).any():
-                return
-            units, counts = _slot_counts(columns, width)
-            if not (
-                np.array_equal(self._ring_matrix[:, units].ravel(), allocation.units)
-                and np.array_equal(np.tile(counts, rows), allocation.unit_counts)
-                and np.array_equal(
-                    self._core_ids_array[self._ring_matrix[:, columns]],
-                    allocation.placement,
-                )
-            ):
-                return
-            folded.append((allocation, units, counts, columns))
-        for allocation, units, counts, columns in folded:
-            allocation.units, allocation.unit_counts = units, counts
-            allocation.placement = columns
-        self._free = per_row[0].copy()
-        self._columns = True
+        per_unit = np.zeros(len(self._free), dtype=np.int64)
+        per_unit[allocation.units] = allocation.unit_counts
+        per_core = np.zeros(self.num_kv_cores, dtype=np.int64)
+        per_core[self._ring_matrix] = per_unit[self._unit_map()]
+        cores = np.flatnonzero(per_core).astype(np.int64, copy=False)
+        return cores, per_core[cores]
 
     # ---------------------------------------------------------------- failures
 
@@ -744,20 +754,28 @@ class DistributedKVCacheManager:
         """Mark a KV core as failed; return ids of sequences needing recompute.
 
         Per Section 4.3.3, when a KV-storage core fails only the sequences
-        stored on that core need recomputation.
+        stored on that core need recomputation.  The core's ring row first
+        moves into a group of its own, so the core is a unit of its own.
         """
         if core_id not in self._core_index:
             raise KVCacheError(f"core {core_id} is not a KV core")
-        self._leave_columns()
         local = self._core_index[core_id]
         newly_failed = core_id not in self._failed_cores
+        self._failed_cores.add(core_id)
+        row = local // self._ring_width
+        if row < len(self._ring_matrix):
+            self._isolate_row(row)
+        unit = self._unit_of(local)
+        if unit is None:  # outside every ring row: never allocated
+            if newly_failed:
+                self._free_on_failed += self.blocks_per_core
+            return []
         if newly_failed:
-            self._free_on_failed += int(self._free[local])
-            self._failed_cores.add(core_id)
-            self._failed_mask[local] = True
+            self._free_on_failed += int(self._free[unit])
+            self._unit_failed[unit] = True
         affected = []
         for allocation in self._allocations.values():
-            on_core = allocation.units == local
+            on_core = allocation.units == unit
             if on_core.any():
                 affected.append(allocation.sequence_id)
                 if newly_failed:
@@ -777,12 +795,9 @@ class DistributedKVCacheManager:
         """
         if core_id not in self._core_index:
             raise KVCacheError(f"core {core_id} is not a KV core")
-        unit = self._core_index[core_id]
-        if self._columns:
-            width = self._ring_width
-            if unit >= width * len(self._ring_matrix):
-                return []  # outside every ring row: never allocated
-            unit %= width
+        unit = self._unit_of(self._core_index[core_id])
+        if unit is None:
+            return []  # outside every ring row: never allocated
         return [
             allocation.sequence_id
             for allocation in self._allocations.values()
@@ -794,7 +809,7 @@ class DistributedKVCacheManager:
     def snapshot_state(self) -> dict[str, Any]:
         """JSON-able occupancy state for a bit-for-bit checkpoint.
 
-        Always the per-core view, whichever accounting is active.  Derived
+        Always the per-core view, however the ring rows are grouped.  Derived
         state (the ring layout, running caches) is rebuilt by ``__init__``
         deterministically from the configuration and is deliberately not
         part of the snapshot.
@@ -825,6 +840,8 @@ class DistributedKVCacheManager:
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
+        """Rebuild a checkpoint's exact per-core state, then merge the ring
+        rows that match exactly back into groups."""
         pointers = set(state["ring_pointers"])
         if len(pointers) != 1:
             raise KVCacheError(
@@ -832,26 +849,37 @@ class DistributedKVCacheManager:
                 f"checkpoint holds {sorted(pointers)}"
             )
         self._ring_pointer = int(pointers.pop())
-        self._columns = False
-        self._free = np.asarray(state["free_blocks"], dtype=np.int64)
+        core_free = np.asarray(state["free_blocks"], dtype=np.int64)
         self._failed_cores = set(state["failed_cores"])
-        self._failed_mask[:] = False
-        for core in sorted(self._failed_cores):
-            self._failed_mask[self._core_index[core]] = True
+        failed = np.zeros(self.num_kv_cores, dtype=bool)
+        failed[[self._core_index[core] for core in sorted(self._failed_cores)]] = True
+        records = state["allocations"]
+        held = np.zeros((len(records), self.num_kv_cores), dtype=np.int64)
+        for row, (_, data) in enumerate(records):
+            held[row, data["cores"]] = data["counts"]
+        self._group_rows(core_free, failed, held)
+        matrix, unit_map = self._ring_matrix, self._unit_map()
+        self._free = np.full(int(unit_map.max()) + 1, self.blocks_per_core, dtype=np.int64)
+        self._free[unit_map] = core_free[matrix]
+        self._unit_failed = np.zeros(len(self._free), dtype=bool)
+        self._unit_failed[unit_map] = failed[matrix]
+        per_unit = np.zeros((len(records), len(self._free)), dtype=np.int64)
+        per_unit[:, unit_map] = held[:, matrix]
         placements = PlacementPageTables.placements_from_state(state["page_tables"])
         self._allocations = {}
-        for sequence_id, data in state["allocations"]:
-            cores = np.asarray(data["cores"], dtype=np.int64)
-            counts = np.asarray(data["counts"], dtype=np.int64)
+        for (sequence_id, data), counts in zip(records, per_unit):
+            units = np.flatnonzero(counts).astype(np.int64, copy=False)
+            unit_counts = counts[units]
             self._allocations[sequence_id] = _SequenceAllocation(
                 sequence_id=sequence_id,
-                units=cores,
-                unit_counts=counts,
-                total_slots=int(counts.sum()),
+                units=units,
+                unit_counts=unit_counts,
+                total_slots=sum(data["counts"]),
                 blocks_per_slot=data["blocks_per_slot"],
                 tokens=data["tokens"],
                 placement=placements[sequence_id],
-                failed_slots=int(counts[self._failed_mask[cores]].sum()),
+                rows=None,
+                failed_slots=int(unit_counts[self._unit_failed[units]].sum()),
             )
         self._free_total = state["free_total"]
         self._free_on_failed = state["free_on_failed"]
@@ -859,12 +887,7 @@ class DistributedKVCacheManager:
         self.set_tenant_quotas(dict(state.get("tenant_quotas", {})))
         self.last_failure_quota_bound = False
         self.stats = KVCacheStats(**state["stats"])
-        self._enter_columns()
         self._free_floor = int(self._free.min())
-        self._slots_bound = max(
-            (allocation.max_slots for allocation in self._allocations.values()),
-            default=0,
-        )
 
     # ------------------------------------------------------------------ private
 

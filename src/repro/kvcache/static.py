@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-import numpy.typing as npt
-
 from ..errors import ConfigurationError, KVCacheError
 from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
@@ -176,19 +173,14 @@ class StaticKVCacheManager:
     def append_token(self, sequence: Sequence) -> bool:
         return self.append_tokens(sequence, 1)
 
-    def growth_events(
-        self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
-    ) -> npt.NDArray[np.bool_]:
-        """Which growths :meth:`append_tokens` would refuse, as one array query.
-
-        ``cached[i]`` is resident sequence *i*'s context length.  Growth
-        inside the reservation needs no bookkeeping at all, so only growth
-        past the reserved context is an event.
-        """
-        return cached + counts > self.reserved_context
-
-    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
-        """Growth inside the reservation: nothing to record."""
+    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> int:
+        """Growth inside the reservation needs no bookkeeping: count the
+        growths, in order, up to the first one past the reserved context."""
+        reserved = self.reserved_context
+        for committed, (sequence, count) in enumerate(zip(sequences, counts)):
+            if sequence.context_length + count > reserved:
+                return committed
+        return len(sequences)
 
     def release(self, sequence: Sequence) -> None:
         reserved = self._resident.pop(sequence.sequence_id, None)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import MappingError
 from ..hardware.noc import NoCModel
 from ..hardware.wafer import Wafer
@@ -153,17 +155,32 @@ class FaultToleranceManager:
 
     # ------------------------------------------------------------------ helpers
 
+    def _dead_cores(self) -> set[int]:
+        """Cores no replacement chain may use or reclaim: those failed here,
+        and the KV cores the KV manager failed on its own (a ``kv_core``
+        fault event fails its core through the KV manager alone)."""
+        if self.kv_manager is None:
+            return self._failed_cores
+        return self._failed_cores | (self.kv_manager.failed_cores & self._kv_cores)
+
     def _nearest_kv_core(self, core_id: int) -> int | None:
+        dead = self._dead_cores()
         candidates = [
             kv for kv in self._kv_cores
-            if kv not in self._failed_cores and not self.wafer.is_defective(kv)
+            if kv not in dead and not self.wafer.is_defective(kv)
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda kv: self.wafer.manhattan(core_id, kv))
+        geometry = self.wafer.geometry()
+        ids = np.asarray(candidates, dtype=np.int64)
+        distances = np.abs(geometry.rows[ids] - geometry.rows[core_id])
+        distances += np.abs(geometry.cols[ids] - geometry.cols[core_id])
+        # argmin keeps min()'s tie-break: the first nearest candidate.
+        return candidates[int(np.argmin(distances))]
 
     def _build_chain(self, start: int, end: int) -> list[int]:
         """Greedy Manhattan walk from the failed core to the reclaimed KV core."""
+        dead = self._dead_cores()
         chain = [start]
         current = start
         visited = {start}
@@ -172,7 +189,7 @@ class FaultToleranceManager:
                 n
                 for n in self.wafer.neighbors(current)
                 if n not in visited
-                and n not in self._failed_cores
+                and n not in dead
                 and not self.wafer.is_defective(n)
             ]
             if not neighbors:

@@ -114,8 +114,6 @@ class SweepRunner:
         return self.cache_dir / f"{key}.pkl"
 
     def _cache_load(self, key: str) -> dict[str, RunResult] | None:
-        if self.cache_dir is None:
-            return None
         path = self._cache_path(key)
         if not path.exists():
             return None
@@ -125,9 +123,9 @@ class SweepRunner:
         except Exception:
             return None  # corrupt entries are treated as misses
 
-    def _cache_store(self, key: str, results: dict[str, RunResult]) -> None:
-        if self.cache_dir is None:
-            return
+    def _cache_store(self, key: str | None, results: dict[str, RunResult]) -> None:
+        if key is None:
+            return  # caching is off
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(key)
         tmp = path.with_suffix(".tmp")
@@ -144,12 +142,17 @@ class SweepRunner:
 
         The shared dispatch behind :meth:`run_cells` (one settings, many
         cells) and :meth:`run_variants` (one cell, many settings).  Results
-        come back in input order.
+        come back in input order.  Cell keys are hashed only when a cache
+        directory is set, once per cell.
         """
         results: list[dict[str, RunResult] | None] = [None] * len(pairs)
+        keys: list[str | None] = [None] * len(pairs)
         pending: list[int] = []
         for index, (cell, settings) in enumerate(pairs):
-            cached = self._cache_load(_cell_key(cell, settings))
+            cached = None
+            if self.cache_dir is not None:
+                key = keys[index] = _cell_key(cell, settings)
+                cached = self._cache_load(key)
             if cached is not None:
                 results[index] = cached
                 self.cache_hits += 1
@@ -165,11 +168,11 @@ class SweepRunner:
                         pool.map(_run_cell, [pairs[index] for index in pending]),
                     ):
                         results[index] = cell_results
-                        self._cache_store(_cell_key(*pairs[index]), cell_results)
+                        self._cache_store(keys[index], cell_results)
             else:
                 for index, cell_results in self._run_serial(pairs, pending):
                     results[index] = cell_results
-                    self._cache_store(_cell_key(*pairs[index]), cell_results)
+                    self._cache_store(keys[index], cell_results)
         return results
 
     def _run_serial(self, pairs, pending: list[int]):

@@ -543,16 +543,16 @@ class PipelineEngine:
 
         The plan fixed every sequence's takes: min(chunk, remaining) tokens —
         truncated when the next arrival lands mid-epoch — split into a prefill
-        take at its current position and a decode take right after it.  Most
-        sequences then only count tokens, so the KV provider reports in one
-        array query which growths it cannot commit in bulk (they may fail),
-        and those, the sequences finishing prefill and the completing ones
-        are *events*: they go through ``grow_sequence`` -> ``apply_advance``
-        -> ``complete`` in snapshot order.  The sequences between two events
-        get a plain commit before the next event runs, so every event sees
-        exactly the state the one-sequence-at-a-time loop would show it.
-        The tally is then computed once from the plan's arrays, and the plan
-        rows of the sequences left active are carried into the next epoch.
+        take at its current position and a decode take right after it.  The
+        sequences finishing prefill and the completing ones are *events*: they
+        go through ``grow_sequence`` -> ``apply_advance`` -> ``complete`` in
+        snapshot order.  The sequences between two events are handed to the
+        KV provider's ``commit_tokens``, which commits their growths in order
+        for as long as none can be refused; the next one, whose growth may
+        fail, becomes an event too.  So every event sees exactly the state the
+        one-sequence-at-a-time loop would show it.  The tally is then computed
+        once from the plan's arrays, and the plan rows of the sequences left
+        active are carried into the next epoch.
         """
         scheduler = self.scheduler
         kv = scheduler.kv_provider
@@ -562,11 +562,8 @@ class PipelineEngine:
         moving = budget > 0
         # the last token completes the sequence
         completing = moving & (budget == remaining_prefill + plan.remaining_decode)
-        events = completing | moving & (
-            kv.growth_events(plan.context, budget)
-            # the last prompt token changes the phase
-            | ((prefill_take > 0) & (prefill_take == remaining_prefill))
-        )
+        # the last prompt token changes the phase
+        events = completing | ((prefill_take > 0) & (prefill_take == remaining_prefill))
         budgets = budget.tolist()
         prefill_takes = prefill_take.tolist()
         decode_takes = plan.takes[1].tolist()
@@ -578,31 +575,43 @@ class PipelineEngine:
         # or sheds; from then on every commit re-checks membership.
         expected_active = scheduler.num_active
         disturbed = False
+        end = len(snapshot)
+        scheduled = iter(events.nonzero()[0].tolist())
+        stop = next(scheduled, end)
         start = 0
-        for index in events.nonzero()[0].tolist() + [len(snapshot)]:
-            if start < index:
-                run = snapshot[start:index]
-                run_budgets = budgets[start:index]
-                run_prefill = prefill_takes[start:index]
-                run_decode = decode_takes[start:index]
+        while True:
+            index = stop
+            if start < stop:
+                positions: range | list[int] = range(start, stop)
+                run = snapshot[start:stop]
+                run_budgets = budgets[start:stop]
+                run_prefill = prefill_takes[start:stop]
+                run_decode = decode_takes[start:stop]
                 if disturbed:
                     # Sequences an earlier growth evicted do not advance.
                     alive = [scheduler.is_active(s) for s in run]
                     if not all(alive):
                         skipped = True
-                        advanced[start:index] &= alive
+                        advanced[start:stop] &= alive
+                        positions = list(compress(positions, alive))
                         run = list(compress(run, alive))
                         run_budgets = list(compress(run_budgets, alive))
                         run_prefill = list(compress(run_prefill, alive))
                         run_decode = list(compress(run_decode, alive))
-                kv.commit_tokens(run, run_budgets)
+                committed = kv.commit_tokens(run, run_budgets)
+                if committed < len(run):
+                    # This growth may be refused: it is an event.
+                    index = positions[committed]
+                    del run[committed:]
                 for sequence, prefill, decode in zip(run, run_prefill, run_decode):
                     if prefill:
                         sequence.prefill_progress += prefill
                     else:
                         sequence.decode_progress += decode
-            if index == len(snapshot):
+            if index == end:
                 break
+            if index == stop:
+                stop = next(scheduled, end)
             start = index + 1
             sequence = snapshot[index]
             if not scheduler.is_active(sequence):

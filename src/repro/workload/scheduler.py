@@ -31,9 +31,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
-import numpy as np
-import numpy.typing as npt
-
 from ..errors import ConfigurationError, SchedulingError
 from .policies import SchedulingPolicy, make_policy
 from .requests import Request, Sequence, SequencePhase
@@ -57,21 +54,16 @@ class KVCapacityProvider(Protocol):
         """Reserve KV space for ``count`` more tokens; return False if full."""
         ...
 
-    def growth_events(
-        self, cached: npt.NDArray[np.int64], counts: npt.NDArray[np.int64]
-    ) -> npt.NDArray[np.bool_]:
-        """Mask of the growths that cannot be committed in bulk.
+    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> int:
+        """Append ``counts[i]`` tokens to ``sequences[i]`` in order, for as
+        long as each growth cannot be refused; return how many were
+        committed.
 
-        ``cached[i]`` is resident sequence *i*'s context length and
-        ``counts[i]`` the tokens it appends this epoch.  True entries (growths
-        that may be refused) must go through :meth:`append_tokens`, in
-        order, so eviction stays exact; the provider owns the arithmetic.
+        Each committed pair is exactly an :meth:`append_tokens` call that
+        returned True; the provider owns the arithmetic.  The next growth, if
+        any, may be refused: the engine sends it through the scheduler's
+        ``grow_sequence``, which may evict, so eviction stays exact.
         """
-        ...
-
-    def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> None:
-        """Record growths :meth:`growth_events` reported False, in one call,
-        exactly as :meth:`append_tokens` would one by one."""
         ...
 
 

@@ -118,3 +118,24 @@ class TestWeightCoreFailure:
         result = ft.fail_core(spare)
         assert result.chain == []
         assert result.recovery_latency_s == 0.0
+
+
+def test_weight_recovery_skips_kv_cores_the_kv_manager_failed():
+    """A ``kv_core`` fault fails its core through the KV manager alone; a
+    later weight-core chain must neither reclaim nor cross that dead core.
+    On llama-13b's default build the nearest KV core to weight core 3 is
+    KV core 5."""
+    from repro import api
+    from repro.experiments.common import ExperimentSettings
+
+    spec = ExperimentSettings(num_requests=1).deployment("llama-13b", "wikitext2")
+    built = api.build_deployment(spec).built
+    kv_manager = built.make_pipeline().kv_manager
+    ft = FaultToleranceManager(built.wafers[0], built.mappings[0], kv_manager=kv_manager)
+    assert (ft.role_of(3), ft.role_of(5)) == ("weight", "kv")
+    kv_manager.fail_core(5)
+    result = ft.fail_core(3)
+    assert result.reclaimed_kv_core is not None
+    assert result.reclaimed_kv_core != 5
+    assert 5 not in result.chain
+    assert result.chain[-1] == result.reclaimed_kv_core

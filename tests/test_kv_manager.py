@@ -250,9 +250,9 @@ class TestSizingEdgeCases:
 
 
 class TestRingSelectionEquivalence:
-    """Admission's ring walks -- over the columns under column accounting,
-    over every group's cores under per-core accounting -- hand out exactly
-    what the per-group reference walk ``_select_cores`` does."""
+    """Admission's ring walk over every ring-row group -- one group of ring
+    columns, or one group per row after failures -- hands out exactly what
+    the per-row reference walk ``_select_cores`` does."""
 
     @staticmethod
     def _reference(manager, heads):
@@ -265,10 +265,11 @@ class TestRingSelectionEquivalence:
     @staticmethod
     def _selection(manager):
         """The cores the next admission takes, one row per (block, K/V)."""
-        if manager._columns:
-            columns = manager._select_columns()
-            return None if columns is None else manager._ring_matrix[:, columns]
-        return manager._walk_all_groups()
+        columns = manager._walk()
+        if columns is None:
+            return None
+        rows = np.atleast_2d(columns)[manager._row_group]
+        return np.take_along_axis(manager._ring_matrix, rows, axis=1)
 
     def test_fast_selection_matches_walk_when_heads_exceed_group(self, tiny_arch):
         # 8 cores / 4 groups -> group size 2 < kv_heads: the column walk must
@@ -277,19 +278,21 @@ class TestRingSelectionEquivalence:
             tiny_arch, kv_core_ids=list(range(8)), blocks_per_core=16
         )
         heads = tiny_arch.kv_heads
-        assert manager._columns
+        assert group_count(manager) == 1
         assert heads > manager._ring_width
         for admitted in range(3):
             assert self._selection(manager).tolist() == self._reference(manager, heads)
             assert manager.try_admit(make_sequence(admitted))
 
-    @pytest.mark.parametrize("kv_cores", [8, 32])
+    @pytest.mark.parametrize("kv_cores", [3, 8, 32])
     def test_group_walk_matches_per_group_walk(self, tiny_arch, kv_cores):
         """With failed and threshold-starved cores, the vectorised walk of all
-        groups hands out exactly what the per-group walk does."""
+        groups hands out exactly what the per-row walk does (3 cores: fewer
+        than the 4 ring rows, one group per row from the start, and a core in
+        two rows needs more blocks to admit several sequences)."""
         manager = DistributedKVCacheManager(
-            tiny_arch, kv_core_ids=list(range(kv_cores)), blocks_per_core=8,
-            threshold=0.5,
+            tiny_arch, kv_core_ids=list(range(kv_cores)),
+            blocks_per_core=64 if kv_cores < 4 else 8, threshold=0.5,
         )
         heads = tiny_arch.kv_heads
         admitted = 0
@@ -305,13 +308,13 @@ class TestRingSelectionEquivalence:
                 assert walked.tolist() == expected
         assert admitted > 1
         assert manager.failed_cores
-        assert not manager._columns
+        assert group_count(manager) > 1
 
     def test_fast_selection_matches_walk_after_pointer_advance(self, manager, tiny_arch):
         heads = tiny_arch.kv_heads
         for admitted in range(5):  # the pointer wraps round the 8-wide ring
             manager.try_admit(make_sequence(admitted))
-            assert manager._columns
+            assert group_count(manager) == 1
             assert self._selection(manager).tolist() == self._reference(manager, heads)
 
     @pytest.mark.parametrize("kv_cores", [16, 42])
@@ -338,7 +341,7 @@ class TestRingSelectionEquivalence:
                 sequences[admitted], (admitted % 3) * manager.tokens_per_block
             )
             admitted += 1
-        assert manager._columns
+        assert group_count(manager) == 1
         assert not manager.try_admit(sequences[admitted])
 
 
@@ -601,15 +604,21 @@ class TestTenantQuotas:
 
 
 class PerCoreManager(DistributedKVCacheManager):
-    """The manager held in per-core accounting for its whole life."""
+    """The manager held at one ring-row group per row, whose units are its
+    cores, for its whole life: per-core accounting."""
 
-    def _columns_fit(self) -> bool:
+    def _rows_share_groups(self) -> bool:
         return False
 
 
-#: the tiny arch's 4 ring rows over these many cores are 2 (< kv_heads), 4
-#: (== kv_heads), 8 and 10 cores wide; at 42 two cores sit outside every row
-DIFFERENTIAL_CORES = (8, 16, 32, 42)
+def group_count(manager) -> int:
+    return len(manager._group_units)
+
+
+#: the tiny arch's 4 ring rows over these many cores are 1 (3 cores: fewer
+#: than rows, core 0 sits in two rows), 2 (< kv_heads), 4 (== kv_heads), 8
+#: and 10 cores wide; at 42 two cores sit outside every row
+DIFFERENTIAL_CORES = (3, 8, 16, 32, 42)
 
 
 #: operations of a differential scenario, admissions and growth weighted up
@@ -638,12 +647,14 @@ def kv_scenarios(draw):
 
 
 class TestColumnAccountingDifferential:
-    """Column accounting against per-core accounting on the same operations.
+    """Ring-row group accounting against per-core accounting on the same
+    operations.
 
     Both engine paths share one KV manager, so fast == scalar cannot catch an
-    accounting bug; this holds every answer and every state of the column
-    accounting (and its switch to per-core at the first failed core) equal
-    to a manager kept per-core from the start.
+    accounting bug; this holds every answer and every state of the group
+    accounting (one group of ring columns, and a group of its own for each
+    row a failed core moves out) equal to a manager kept per-core from the
+    start.
     """
 
     @staticmethod
@@ -684,9 +695,18 @@ class TestColumnAccountingDifferential:
             if core not in columns.failed_cores
         )
         assert columns.used_blocks == columns.total_blocks - healthy_free
-        # Column accounting holds exactly until the first failed core.
-        assert columns._columns == (not columns.failed_cores)
-        assert not per_core._columns
+        # One group of every row, plus one per row holding a failed core;
+        # with fewer cores than rows, one group per row throughout.
+        rows = len(columns._ring_matrix)
+        assert group_count(per_core) == rows
+        if columns.num_kv_cores < rows:
+            assert group_count(columns) == rows
+        else:
+            failed_rows = {
+                columns._core_index[core] // columns._ring_width
+                for core in columns.failed_cores
+            }
+            assert group_count(columns) <= 1 + len(failed_rows & set(range(rows)))
 
     @given(scenario=kv_scenarios())
     # tiny_arch is a frozen dataclass: sharing it across examples is safe.
@@ -761,13 +781,14 @@ class TestColumnAccountingDifferential:
         ["_uneven_free_blocks", "_head_outside_row_zero", "_v_head_off_its_column"],
     )
     def test_restore_keeps_asymmetric_state_per_core(self, manager, corrupt):
-        """A checkpoint whose ring rows differ, though no core failed, is
-        restored into per-core accounting rather than folded."""
+        """A checkpoint whose ring rows differ, though no core failed, keeps
+        its exact per-core state: the uneven row stays a group of its own,
+        and a placement off the ring columns is kept as given."""
         manager.try_admit(make_sequence(0))
         state = manager.snapshot_state()
         getattr(self, corrupt)(state)
         manager.restore_state(state)
-        assert not manager._columns
+        assert group_count(manager) == (2 if corrupt == "_uneven_free_blocks" else 1)
         assert manager.snapshot_state() == state
 
     def test_restore_reenters_columns_without_failures(self, manager):
@@ -775,15 +796,15 @@ class TestColumnAccountingDifferential:
             manager.try_admit(make_sequence(seq_id))
         state = manager.snapshot_state()
         manager.fail_core(manager.kv_core_ids[0])
-        assert not manager._columns
+        assert group_count(manager) == 2
         manager.restore_state(state)
-        assert manager._columns
+        assert group_count(manager) == 1
         assert manager.snapshot_state() == state
 
 
 class TestAccountingSwitchEndToEnd:
-    """A served run whose fault plan fails a KV core mid-run switches the
-    column accounting to per-core; straight through, or resumed from a
+    """A served run whose fault plan fails a KV core mid-run moves that
+    core's ring row into a second group; straight through, or resumed from a
     checkpoint taken before or after the failure, it equals the run kept
     per-core from the start."""
 
@@ -824,7 +845,7 @@ class TestAccountingSwitchEndToEnd:
         )
         assert result.faults.kv_core_failures == 1
         assert result.faults.recovered_sequences > 0
-        assert kv_manager.failed_cores and not kv_manager._columns
+        assert kv_manager.failed_cores and group_count(kv_manager) == 2
         assert self._fingerprint(result, kv_manager) == reference
         for epoch, failed in ((self.BEFORE, False), (self.AFTER, True)):
             checkpoint, _ = self._serve(
@@ -845,12 +866,12 @@ class TestAccountingSwitchEndToEnd:
 
 @pytest.mark.parametrize("model", DECODER_MODELS)
 def test_default_builds_start_in_column_accounting(model):
-    """The paper's decoder models get the column accounting by default; a
-    layout change that silently fell back to per-core would fail here."""
+    """The paper's decoder models start with one ring-row group by default;
+    a layout change that silently fell back to per-core would fail here."""
     spec = ExperimentSettings(num_requests=1).deployment(model, "wikitext2")
     kv_manager = api.build_deployment(spec).built.make_pipeline().kv_manager
     assert isinstance(kv_manager, DistributedKVCacheManager)
-    assert kv_manager._columns
+    assert group_count(kv_manager) == 1
     assert len(kv_manager._free) == kv_manager._ring_width
 
 
@@ -862,7 +883,7 @@ def batch_growths(draw):
         "cores": draw(st.sampled_from(DIFFERENTIAL_CORES)),
         "blocks_per_core": draw(st.sampled_from([3, 6, 16, 24, 64])),
         "threshold": draw(st.sampled_from([0.0, 0.25])),
-        "quota": draw(st.sampled_from([None, None, 0.5])),
+        "quota": draw(st.sampled_from([None, None, 0.2, 0.5])),
     }
     residents = draw(st.lists(st.integers(0, 600), min_size=1, max_size=12))
     failed = draw(st.one_of(st.none(), st.integers(0, 1000)))
@@ -873,10 +894,12 @@ def batch_growths(draw):
 
 
 class TestBatchGrowthDifferential:
-    """One epoch's growths committed in bulk against ``append_tokens`` per
-    sequence, in order: when ``growth_events`` reports no event the two leave
-    the managers identical, and every growth that could fail or must be
-    charged to a quota is reported."""
+    """One epoch's growths through ``commit_tokens`` against ``append_tokens``
+    per sequence, in order, the way the engine drives them: each call's
+    first k growths leave the managers identical, and growth k is one that
+    ``append_tokens`` could refuse -- its tenant's quota lacks room, or the
+    free floor, measured once and lowered by every commit since, falls
+    short.  Growth k then goes through ``append_tokens`` on both."""
 
     @staticmethod
     def _populate(tiny_arch, config, residents, failed):
@@ -892,6 +915,14 @@ class TestBatchGrowthDifferential:
             manager.fail_core(100 + failed % config["cores"])
         return manager, sequences
 
+    @staticmethod
+    def _growth(manager, sequence, count):
+        """``(blocks charged to the tenant, most blocks from one unit)``."""
+        allocation = manager._allocations[sequence.sequence_id]
+        needed = -(-(allocation.tokens + count) // manager.tokens_per_block)
+        delta = max(0, needed - allocation.blocks_per_slot)
+        return allocation.total_slots * delta, allocation.max_slots * delta
+
     @given(scenario=batch_growths())
     @settings(
         max_examples=300, deadline=None,
@@ -901,31 +932,29 @@ class TestBatchGrowthDifferential:
         config, residents, failed, counts = scenario
         batch, sequences = self._populate(tiny_arch, config, residents, failed)
         single, _ = self._populate(tiny_arch, config, residents, failed)
-        assert batch._columns == (failed is None)
         counts = counts[:len(sequences)]
-        cached = np.array([batch.tokens_cached(s.sequence_id) for s in sequences],
-                          dtype=np.int64)
-        per_block = batch.tokens_per_block
-        deltas = [
-            max(1, -(-(tokens + count) // per_block)) - max(1, -(-tokens // per_block))
-            for tokens, count in zip(cached.tolist(), counts)
-        ]
-        worst = sum(
-            batch._allocations[s.sequence_id].max_slots * delta
-            for s, delta in zip(sequences, deltas)
-        )
-        floor = int(batch._free.min())
-        events = batch.growth_events(cached, np.array(counts, dtype=np.int64))
-        crossing = [delta > 0 for delta in deltas]
-        if config["quota"] is not None or floor < worst:
-            assert events.tolist() == crossing
-        if events.any():
-            assert events.tolist() == crossing
-            return
-        batch.commit_tokens(sequences, counts)
-        for sequence, count in zip(sequences, counts):
-            assert single.append_tokens(sequence, count)
-        assert np.array_equal(batch._free, single._free)
-        assert batch.stats.as_dict() == single.stats.as_dict()
-        assert batch.used_blocks == single.used_blocks
-        assert batch.snapshot_state() == single.snapshot_state()
+        position = 0
+        while position < len(sequences):
+            floor = int(single._free.min())
+            committed = batch.commit_tokens(sequences[position:], counts[position:])
+            for sequence, count in zip(
+                sequences[position:position + committed], counts[position:]
+            ):
+                floor -= self._growth(single, sequence, count)[1]
+                assert single.append_tokens(sequence, count)
+            assert np.array_equal(batch._free, single._free)
+            assert batch.stats.as_dict() == single.stats.as_dict()
+            assert batch.used_blocks == single.used_blocks
+            assert batch.last_failure_quota_bound == single.last_failure_quota_bound
+            assert batch.snapshot_state() == single.snapshot_state()
+            position += committed
+            if position == len(sequences):
+                break
+            sequence, count = sequences[position], counts[position]
+            blocks, most = self._growth(single, sequence, count)
+            assert most > 0
+            assert not single._quota_allows(sequence.tenant, blocks) or floor < most
+            assert batch.append_tokens(sequence, count) == single.append_tokens(
+                sequence, count
+            )
+            position += 1

@@ -123,6 +123,28 @@ class TestResultCache:
         runner.run_grid(("llama-13b",), ("lp128_ld2048",), FAST)
         assert list(tmp_path.iterdir()) == []
 
+    def test_no_cache_dir_hashes_no_cell(self, tmp_path, monkeypatch):
+        """Without a cache directory no cell key is computed, and the grid
+        result is the one a caching run produces."""
+        import repro.perf.sweep as sweep
+
+        monkeypatch.delenv("REPRO_RESULT_CACHE_DIR", raising=False)
+        runner = SweepRunner(max_workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell key was hashed with caching off")
+
+        monkeypatch.setattr(sweep, "_cell_key", refuse)
+        grid = runner.run_grid(("llama-13b",), ("lp128_ld2048",), FAST)
+        assert runner.cache_misses == 1 and runner.cache_hits == 0
+        monkeypatch.undo()
+        expected = SweepRunner(max_workers=1, cache_dir=tmp_path).run_grid(
+            ("llama-13b",), ("lp128_ld2048",), FAST
+        )
+        for system, result in expected[("llama-13b", "lp128_ld2048")].items():
+            ours = grid[("llama-13b", "lp128_ld2048")][system]
+            assert ours.as_dict() == result.as_dict()
+
 
 @pytest.mark.slow
 class TestParallelRunner:
