@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -131,13 +131,17 @@ class _SequenceAllocation:
     rows: npt.NDArray[np.int64] | None
     #: slots on failed cores
     failed_slots: int = 0
-    #: most slots on one touched core
-    max_slots: int = field(init=False)
+    #: most slots on one touched core (derived from ``unit_counts`` unless
+    #: given)
+    max_slots: int = 0
     #: the slots every touched core holds when that is one number for all of
-    #: them (the usual case: one slot per core), else 0
-    slots_per_core: int = field(init=False)
+    #: them (the usual case: one slot per core), else 0; derived with
+    #: ``max_slots``
+    slots_per_core: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_slots:
+            return
         counts = self.unit_counts
         low, self.max_slots = (
             (int(counts.min()), int(counts.max())) if len(counts) else (0, 0)
@@ -218,6 +222,10 @@ class DistributedKVCacheManager:
         #: width from any pointer is a plain slice, no modulo
         self._ring_doubled = np.concatenate([np.arange(width, dtype=np.int64)] * 2)
         self._head_range = np.arange(arch.kv_heads, dtype=np.int64)
+        #: the slot counts of an allocation on distinct columns of one group
+        #: (one slot per core), shared read-only by every such allocation
+        self._one_slot_each = np.ones(arch.kv_heads, dtype=np.int64)
+        self._one_slot_each.flags.writeable = False
         #: every admission reserves one slot per (ring row, KV head)
         self._slots_per_sequence = rows * arch.kv_heads
         # The group of every ring row (replaced, never written in place:
@@ -408,10 +416,7 @@ class DistributedKVCacheManager:
         heads = len(self._head_range)
         table = self._group_units
         if len(table) == 1:
-            # One group never holds a failed unit, and its units are the
-            # columns themselves.
-            order = self._ring_doubled[pointer:pointer + width]
-            found = order[self._free[order] > self._threshold_blocks]
+            found = self._usable_columns()
             if len(found) >= heads:
                 return found[:heads]
             if not len(found):
@@ -438,6 +443,14 @@ class DistributedKVCacheManager:
         steps %= width
         return steps
 
+    def _usable_columns(self) -> npt.NDArray[np.int64]:
+        """The one group's usable ring columns, in ring order from the
+        pointer.  One group never holds a failed unit, and its units are the
+        columns themselves."""
+        pointer = self._ring_pointer
+        order = self._ring_doubled[pointer:pointer + self._ring_width]
+        return order[self._free[order] > self._threshold_blocks]
+
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
         sequence_id = sequence.sequence_id
@@ -455,19 +468,31 @@ class DistributedKVCacheManager:
             self.last_failure_quota_bound = True
             return False
 
-        columns = self._walk()
-        if columns is None:
-            self.stats.failed_admissions += 1
-            return False
-        if columns.ndim == 1:
-            units, unit_counts = _slot_counts(columns, self._ring_width)
+        heads = len(self._head_range)
+        found = self._usable_columns() if len(self._group_units) == 1 else None
+        if found is not None and len(found) >= heads:
+            # Distinct columns: each unit holds one slot per core, and the
+            # walk only took units with more than the threshold (>= 0) free
+            # blocks, so the reservation fits.
+            columns = found[:heads]
+            units, unit_counts, slots = np.sort(columns), self._one_slot_each, 1
         else:
-            units, unit_counts = _slot_counts(
-                np.take_along_axis(self._group_units, columns, axis=1), len(self._free)
-            )
-        if (self._free[units] < unit_counts).any():
-            self.stats.failed_admissions += 1
-            return False
+            walked = self._walk()
+            if walked is None:
+                self.stats.failed_admissions += 1
+                return False
+            columns = walked
+            if columns.ndim == 1:
+                units, unit_counts = _slot_counts(columns, self._ring_width)
+            else:
+                units, unit_counts = _slot_counts(
+                    np.take_along_axis(self._group_units, columns, axis=1),
+                    len(self._free),
+                )
+            if (self._free[units] < unit_counts).any():
+                self.stats.failed_admissions += 1
+                return False
+            slots = 0  # derived from the counts
         allocation = _SequenceAllocation(
             sequence_id=sequence_id,
             units=units,
@@ -477,6 +502,8 @@ class DistributedKVCacheManager:
             tokens=0,
             placement=columns,
             rows=self._row_group,
+            max_slots=slots,
+            slots_per_core=slots,
         )
         self._reserve(units, unit_counts, allocation.max_slots)
         self._free_total -= reserve

@@ -157,18 +157,18 @@ class FaultToleranceManager:
 
     def _dead_cores(self) -> set[int]:
         """Cores no replacement chain may use or reclaim: those failed here,
-        and the KV cores the KV manager failed on its own (a ``kv_core``
-        fault event fails its core through the KV manager alone)."""
-        if self.kv_manager is None:
-            return self._failed_cores
-        return self._failed_cores | (self.kv_manager.failed_cores & self._kv_cores)
+        the KV cores the KV manager failed on its own (a ``kv_core`` fault
+        event fails its core through the KV manager alone) and the wafer's
+        manufacturing defects, as one set."""
+        dead = self._failed_cores
+        if self.kv_manager is not None:
+            dead = dead | (self.kv_manager.failed_cores & self._kv_cores)
+        defect_map = self.wafer.defect_map
+        return dead if defect_map is None else dead | defect_map.defective_cores
 
     def _nearest_kv_core(self, core_id: int) -> int | None:
         dead = self._dead_cores()
-        candidates = [
-            kv for kv in self._kv_cores
-            if kv not in dead and not self.wafer.is_defective(kv)
-        ]
+        candidates = [kv for kv in self._kv_cores if kv not in dead]
         if not candidates:
             return None
         geometry = self.wafer.geometry()
@@ -188,9 +188,7 @@ class FaultToleranceManager:
             neighbors = [
                 n
                 for n in self.wafer.neighbors(current)
-                if n not in visited
-                and n not in dead
-                and not self.wafer.is_defective(n)
+                if n not in visited and n not in dead
             ]
             if not neighbors:
                 raise MappingError(

@@ -58,10 +58,16 @@ strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
   crossings among them allocated together -- so eviction order, mid-epoch KV
   releases and the KV high-water mark are exactly the scalar path's.  The
   epoch tally (tokens, context-weighted tokens, per-quantized-context energy
-  bins, prefill segments, first decoders) is computed once from the plan's
-  arrays; its context-weighted sum is summed exactly in integers
-  (:func:`context_weighted`), so it equals the scalar path's float sum bit
-  for bit.
+  bins, prefill segments, first decoders) is computed once per epoch, in a
+  few calls over whole arrays: the token counts come from the take lists
+  the advance already holds, one (2, N) array of doubled segment starts
+  gives both the context-weighted sum -- summed exactly in integers, so it
+  equals the scalar path's float sum bit for bit (:func:`context_weighted`)
+  -- and every segment's quantised context, and one pass in snapshot order
+  fills the energy bins in the scalar loop's first-touch order.  The
+  token-grained strategy reads the plan's rows of every sequence for its
+  in-flight sum (:attr:`PipelineEngine.full_prefill_rows`) instead of a
+  gather of the prefilling ones.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
   original one-sequence-at-a-time loop, kept for validation.  It shares the
   epoch loop and the epoch-closing arithmetic (duration, utilization,
@@ -199,7 +205,9 @@ _EXACT_DOUBLED_LIMIT = 2**53
 _ADVANCE = np.array([[-1, 0], [0, -1], [1, 1], [0, 1], [0, 0]], dtype=np.int64)
 
 
-def context_weighted(budget: IntArray, context: IntArray) -> float:
+def context_weighted(
+    budget: IntArray, context: IntArray, tokens: int | None = None
+) -> float:
     """An epoch's context-weighted token count, exactly.
 
     Sequence *i* processes ``budget[i]`` tokens at positions ``context[i]``
@@ -214,12 +222,17 @@ def context_weighted(budget: IntArray, context: IntArray) -> float:
     oracle's sequential one, per-row pairwise sums, a ``cumsum`` -- gives
     this value bit for bit.  An epoch at or past that bound raises
     :class:`SimulationError` rather than disagree with the scalar oracle.
+    ``tokens`` is ``Σ budget`` when the caller has it already.
     """
-    doubled = (
-        2 * int(np.dot(budget, context))
-        + int(np.dot(budget, budget))
-        - int(np.add.reduce(budget))
+    if tokens is None:
+        tokens = int(np.add.reduce(budget))
+    return _halved(
+        2 * int(np.dot(budget, context)) + int(np.dot(budget, budget)) - tokens
     )
+
+
+def _halved(doubled: int) -> float:
+    """Half a doubled context-weighted count, which must be exact in float64."""
     if not 0 <= doubled < _EXACT_DOUBLED_LIMIT:
         raise SimulationError(
             f"epoch context-weighted token count {doubled} / 2 is outside "
@@ -271,6 +284,19 @@ class EpochPlan:
         np.subtract(self.budget, prefill, out=decode)
         np.minimum(decode, self.remaining_decode, out=decode)
 
+    def events(self) -> npt.NDArray[np.bool_]:
+        """Whether each sequence's take reaches the end of its prompt or --
+        once the prompt is done -- of its output: the last prompt token
+        changes the phase, the last output token completes the sequence.
+
+        A budget never exceeds what remains, so reaching is ``>=``; a
+        sequence with no take has no event.
+        """
+        remaining_prefill = self.remaining_prefill
+        ends = np.where(remaining_prefill, remaining_prefill, self.remaining_decode)
+        np.maximum(ends, 1, out=ends)
+        return self.budget >= ends
+
     # Python-int views: the scalar oracle indexes budgets one sequence at a
     # time, and its counters must stay Python ints.
 
@@ -293,7 +319,10 @@ class PrefillSegments(NamedTuple):
     ``takes`` are the prompt tokens each sequence prefills this epoch,
     ``remaining`` its prompt tokens still to prefill as the caller sees it
     (before the epoch when planning, after it when closing) and ``lengths``
-    its prompt length.  The utilization models read these arrays.
+    its prompt length.  The utilization models read these arrays.  For a
+    strategy with :attr:`PipelineEngine.full_prefill_rows` the arrays may
+    hold every sequence of the epoch instead; a sequence without a prefill
+    take then has ``takes`` and ``remaining`` 0.
     """
 
     takes: IntArray
@@ -360,6 +389,11 @@ class PipelineEngine:
     """Base class for the three pipeline strategies."""
 
     name = "base"
+    #: whether :meth:`segment_utilization` reads the prefill segments only
+    #: through ``Σ min(depth, takes + remaining)``, to which a sequence
+    #: without a prefill take adds 0.  The engine then hands it the plan's
+    #: rows of every sequence instead of gathering the prefilling ones.
+    full_prefill_rows = False
 
     def __init__(
         self,
@@ -401,9 +435,11 @@ class PipelineEngine:
         self._split_epochs = 0
         #: streaming per-request stats, folded as completion epochs close
         self._accumulator: ServeAccumulator | None = None
-        self._interval_cache: dict[int, float] = {}
-        self._energy_cache: dict[int, EnergyBreakdown] = {}
-        self._energy_rows: dict[int, tuple[float, float, float, float]] = {}
+        # The per-quantised-context cost memos belong to the cost model, so
+        # every engine built on it (every serve of one build) shares them.
+        self._interval_cache = cost_model.interval_memo
+        self._energy_cache = cost_model.energy_memo
+        self._energy_rows = cost_model.energy_row_memo
         #: plan rows of the sequences a fast epoch left active, in active
         #: order, with the scheduler's departure count at that moment (see
         #: :meth:`_plan_rows`)
@@ -551,32 +587,26 @@ class PipelineEngine:
         for as long as none can be refused; the next one, whose growth may
         fail, becomes an event too.  So every event sees exactly the state the
         one-sequence-at-a-time loop would show it.  The tally is then computed
-        once from the plan's arrays, and the plan rows of the sequences left
-        active are carried into the next epoch.
+        once, from the plan's arrays and the take lists built here, and the
+        plan rows of the sequences left active are carried into the next
+        epoch.
         """
         scheduler = self.scheduler
         kv = scheduler.kv_provider
         budget = plan.budget
-        prefill_take = plan.takes[0]
-        remaining_prefill = plan.remaining_prefill
-        moving = budget > 0
-        # the last token completes the sequence
-        completing = moving & (budget == remaining_prefill + plan.remaining_decode)
-        # the last prompt token changes the phase
-        events = completing | ((prefill_take > 0) & (prefill_take == remaining_prefill))
         budgets = budget.tolist()
-        prefill_takes = prefill_take.tolist()
-        decode_takes = plan.takes[1].tolist()
-        # `advanced[i]`: sequence i processed its takes this epoch
-        advanced = moving.copy()
-        skipped = False
+        prefill_takes, decode_takes = plan.takes.tolist()
+        # positions of the sequences that did not process their takes, and
+        # of the ones that completed
+        skipped: list[int] = []
+        completed: list[int] = []
         finished: list[Sequence] = []
         # The active set only shrinks by completions unless an event evicts
         # or sheds; from then on every commit re-checks membership.
         expected_active = scheduler.num_active
         disturbed = False
         end = len(snapshot)
-        scheduled = iter(events.nonzero()[0].tolist())
+        scheduled = iter(plan.events().nonzero()[0].tolist())
         stop = next(scheduled, end)
         start = 0
         while True:
@@ -591,8 +621,10 @@ class PipelineEngine:
                     # Sequences an earlier growth evicted do not advance.
                     alive = [scheduler.is_active(s) for s in run]
                     if not all(alive):
-                        skipped = True
-                        advanced[start:stop] &= alive
+                        skipped.extend(
+                            position for position, live in zip(positions, alive)
+                            if not live
+                        )
                         positions = list(compress(positions, alive))
                         run = list(compress(run, alive))
                         run_budgets = list(compress(run_budgets, alive))
@@ -615,8 +647,7 @@ class PipelineEngine:
             start = index + 1
             sequence = snapshot[index]
             if not scheduler.is_active(sequence):
-                advanced[index] = False  # evicted by an earlier sequence's KV growth
-                skipped = True
+                skipped.append(index)  # evicted by an earlier sequence's KV growth
                 continue
             if scheduler.grow_sequence(sequence, budgets[index]):
                 sequence.apply_advance(prefill_takes[index], decode_takes[index])
@@ -626,23 +657,32 @@ class PipelineEngine:
                     # stamp to the epoch end once the duration is known.
                     scheduler.complete(sequence, time_s)
                     finished.append(sequence)
+                    completed.append(index)
                     expected_active -= 1
             else:
-                advanced[index] = False
-                skipped = True
+                skipped.append(index)
             if scheduler.num_active != expected_active:
                 disturbed = True
-        if skipped or disturbed:
+        takes = plan.takes
+        if skipped:
+            advanced = budget > 0
+            advanced[skipped] = False
+            takes = takes * advanced
+            prefill_takes, decode_takes = takes.tolist()
+            # The plan rows no longer describe every sequence either.
+            disturbed = True
+        if disturbed:
             self._carried = None
         else:
-            # Exactly the completing sequences left: carry the others' rows.
-            rows = plan.rows + _ADVANCE @ plan.takes
-            if finished:
-                rows = rows[:, ~completing]
+            # Exactly the completed sequences left: carry the others' rows.
+            rows = plan.rows + _ADVANCE @ takes
+            if completed:
+                kept = np.ones(end, dtype=bool)
+                kept[completed] = False
+                rows = rows[:, kept]
             self._carried = (rows, scheduler.departures)
         return self._tally(
-            snapshot, plan, plan.takes * advanced if skipped else plan.takes,
-            finished, disturbed,
+            snapshot, plan, takes, prefill_takes, decode_takes, finished, disturbed
         )
 
     def _tally(
@@ -650,71 +690,88 @@ class PipelineEngine:
         snapshot: list[Sequence],
         plan: EpochPlan,
         takes: IntArray,
+        prefill_takes: list[int],
+        decode_takes: list[int],
         finished: list[Sequence],
         disturbed: bool,
     ) -> _EpochTally:
-        """The fast path's epoch tally, from the plan's arrays.
+        """The fast path's epoch tally, from the plan's arrays and take lists.
 
         ``takes`` are the segment takes of the sequences that advanced (row 0
-        prefill, row 1 decode; zero for a sequence that did not).  Reproduces
-        the scalar loop's accumulation exactly: the context-weighted sum is
-        exact in any order (:func:`context_weighted`), and the energy bins are
-        filled in first-touch order, every advanced sequence's prefill
-        segment and then its decode segment.  ``disturbed`` (an event evicted
-        sequences) means a prefilled sequence may have been evicted after
-        advancing, so its remaining prompt is read back from the sequence.
+        prefill, row 1 decode; zero for a sequence that did not), and
+        ``prefill_takes`` / ``decode_takes`` the same rows as lists, which
+        give the token total, the decoder count and the longest decode take.
+        Twice every segment's average context, ``2·start + take − 1`` (the
+        decode segment starts where the prefill take ends), is one (2, N)
+        array.  It gives the exact context-weighted sum
+        ``Σ take·(2·start + take − 1) / 2`` (:func:`context_weighted`'s sum,
+        split by segment) and, divided by twice the quantum and rounded half
+        to even, every segment's key exactly as the scalar path's
+        ``_quantize`` of the half.  One pass in snapshot order fills the
+        energy bins in the scalar loop's first-touch order (prefill segment,
+        then decode segment) and collects the first decoders.  ``disturbed``
+        (a sequence did not advance, or an event evicted sequences) means the
+        plan rows may no longer describe a sequence, so the prefilling
+        sequences' remaining prompts are read back from the sequences.
         """
-        prefill_take, decode_take = takes
-        tally = _EpochTally(
-            tokens=int(np.add.reduce(takes, axis=None)),
-            finished=finished,
-            decode_sequences=int(np.count_nonzero(decode_take)),
-            max_decode_chunk=int(decode_take.max(initial=0)),
-        )
-        if tally.tokens == 0:
-            return tally
-        tally.context_weighted = context_weighted(
-            np.add.reduce(takes, axis=0), plan.context
-        )
-        # The quantised average context of every segment.  Twice the average,
-        # 2·start + take − 1, is an integer whose half is exact, so dividing
-        # it by twice the quantum rounds exactly as the scalar path's
-        # average / quantum does.  The decode segment starts where the
-        # prefill take ends; the two takes add up to the budget.
+        tokens = sum(prefill_takes) + sum(decode_takes)
+        if tokens == 0:
+            return _EpochTally(finished=finished)
         doubled = np.empty_like(takes)
         np.multiply(plan.context, 2, out=doubled[0])
-        doubled[0] += prefill_take
+        doubled[0] += plan.takes[0]
         doubled[0] -= 1
         np.add(doubled[0], plan.budget, out=doubled[1])
+        weighted = _halved(int(np.vdot(takes, doubled)))
         quantum = self.config.context_quantum
-        keys = np.maximum(
-            1, np.rint(doubled / (2 * quantum)).astype(np.int64) * quantum
+        prefill_keys, decode_keys = (
+            np.rint(doubled / (2 * quantum)).astype(np.int64).tolist()
         )
-        # The transposed views walk the segments in the scalar loop's order.
-        touched = takes.T > 0
-        touched_keys = keys.T[touched].tolist()
-        energy_bins = tally.energy_bins = dict.fromkeys(touched_keys, 0)
-        for key, tokens in zip(touched_keys, takes.T[touched].tolist()):
-            energy_bins[key] += tokens
-        prefilled = prefill_take.nonzero()[0]
-        if disturbed:
-            remaining = np.array(
-                [snapshot[i].remaining_prefill for i in prefilled.tolist()],
-                dtype=np.int64,
+        energy_bins: dict[int, int] = {}
+        first_decoders: list[Sequence] = []
+        for sequence, generated, prefill, prefill_key, decode, decode_key in zip(
+            snapshot, plan.generated.tolist(), prefill_takes, prefill_keys,
+            decode_takes, decode_keys,
+        ):
+            if prefill:
+                key = prefill_key * quantum or 1
+                energy_bins[key] = energy_bins.get(key, 0) + prefill
+            if decode:
+                key = decode_key * quantum or 1
+                energy_bins[key] = energy_bins.get(key, 0) + decode
+                if not generated:
+                    first_decoders.append(sequence)
+        prefill_take = takes[0]
+        if self.full_prefill_rows and not disturbed:
+            segments = PrefillSegments(
+                takes=prefill_take,
+                remaining=plan.remaining_prefill - prefill_take,
+                lengths=plan.prefill_length,
             )
         else:
-            remaining = plan.remaining_prefill[prefilled] - prefill_take[prefilled]
-        tally.prefill_segments = PrefillSegments(
-            takes=prefill_take[prefilled],
-            remaining=remaining,
-            lengths=plan.prefill_length[prefilled],
+            prefilled = prefill_take.nonzero()[0]
+            if disturbed:
+                remaining = np.array(
+                    [snapshot[i].remaining_prefill for i in prefilled.tolist()],
+                    dtype=np.int64,
+                )
+            else:
+                remaining = plan.remaining_prefill[prefilled] - prefill_take[prefilled]
+            segments = PrefillSegments(
+                takes=prefill_take[prefilled],
+                remaining=remaining,
+                lengths=plan.prefill_length[prefilled],
+            )
+        return _EpochTally(
+            tokens=tokens,
+            context_weighted=weighted,
+            energy_bins=energy_bins,
+            prefill_segments=segments,
+            decode_sequences=len(decode_takes) - decode_takes.count(0),
+            max_decode_chunk=max(decode_takes),
+            first_decoders=first_decoders,
+            finished=finished,
         )
-        fresh = (plan.generated == 0).nonzero()[0]
-        if len(fresh):
-            tally.first_decoders = [
-                snapshot[i] for i in fresh[decode_take[fresh] > 0].tolist()
-            ]
-        return tally
 
     def _advance_epoch_scalar(
         self, snapshot: list[Sequence], plan: EpochPlan, time_s: float
@@ -1171,7 +1228,8 @@ class PipelineEngine:
         is derived from its rows.
         """
         rows = self._plan_rows(snapshot)
-        budget = np.minimum(self.config.chunk_tokens, rows[0] + rows[1])
+        budget = rows[0] + rows[1]
+        np.minimum(budget, self.config.chunk_tokens, out=budget)
         plan = EpochPlan(
             budget=budget,
             takes=np.empty((2, len(snapshot)), dtype=np.int64),
@@ -1183,11 +1241,11 @@ class PipelineEngine:
             planned = self._planned_duration(plan)
             if 0.0 < gap < planned:
                 fraction = gap / planned
-                plan.budget = np.where(
-                    budget > 0,
-                    np.maximum(1, np.floor(fraction * budget).astype(np.int64)),
-                    budget,
-                )
+                # Truncation is floor on these non-negative products; a
+                # sequence with a budget keeps at least one token.
+                scaled = (fraction * budget).astype(np.int64)
+                np.maximum(scaled, budget > 0, out=scaled)
+                plan.budget = scaled
                 plan.derive_takes()
                 plan.split = True
         return plan
@@ -1258,25 +1316,32 @@ class PipelineEngine:
         :meth:`planned_utilization` because a truncated plan is re-evaluated
         at close time.
         """
-        epoch_tokens = int(np.add.reduce(plan.budget))
+        budget = plan.budget
+        epoch_tokens = sum(budget.tolist())
         if epoch_tokens <= 0:
             return 0.0
         prefill_takes, decode_takes = plan.takes
-        weighted = context_weighted(plan.budget, plan.context)
+        weighted = context_weighted(budget, plan.context, epoch_tokens)
         interval = self.stage_interval(weighted / epoch_tokens)
-        prefilling = prefill_takes > 0
-        segments = PrefillSegments(
-            takes=prefill_takes[prefilling],
-            remaining=plan.remaining_prefill[prefilling],
-            lengths=plan.prefill_length[prefilling],
-        )
-        decode_count = int(np.count_nonzero(decode_takes))
+        if self.full_prefill_rows:
+            # A sequence without a prefill take has no prompt left to prefill.
+            segments = PrefillSegments(
+                prefill_takes, plan.remaining_prefill, plan.prefill_length
+            )
+        else:
+            prefilling = prefill_takes > 0
+            segments = PrefillSegments(
+                takes=prefill_takes[prefilling],
+                remaining=plan.remaining_prefill[prefilling],
+                lengths=plan.prefill_length[prefilling],
+            )
+        decodes = decode_takes.tolist()
         utilization = max(
-            1e-6, min(1.0, self.planned_utilization(segments, decode_count))
+            1e-6,
+            min(1.0, self.planned_utilization(segments, len(decodes) - decodes.count(0))),
         )
         duration = epoch_tokens * interval / utilization
-        max_decode_chunk = int(decode_takes.max(initial=0))
-        return max(duration, max_decode_chunk * self.depth * interval)
+        return max(duration, max(decodes) * self.depth * interval)
 
     def _admit_or_skip_idle(
         self, time_s: float, arrival_feed=None, live_sync=None

@@ -42,7 +42,14 @@ class StageCost:
 
 @dataclass
 class TokenCostModel:
-    """Analytical per-token cost model for one transformer block."""
+    """Analytical per-token cost model for one transformer block.
+
+    Nothing changes a cost model after construction, so its costs are pure
+    functions of the context length.  The pipeline engines memoise them
+    here, per quantised context (``interval_memo``, ``energy_memo`` and
+    ``energy_row_memo``), so every engine built on one cost model -- every
+    serve of one build -- computes each cost once.
+    """
 
     arch: ModelArch
     wafer_config: WaferConfig
@@ -77,6 +84,9 @@ class TokenCostModel:
             core_config.link_width_bits / 8.0
         ) * 1e9 * self.transfer_bandwidth_scale  # links run at 1 GHz
         self._crossbar = core_config.crossbar
+        self.interval_memo: dict[int, float] = {}
+        self.energy_memo: dict[int, EnergyBreakdown] = {}
+        self.energy_row_memo: dict[int, tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------ stages
 

@@ -26,6 +26,8 @@ class TokenGrainedPipeline(PipelineEngine):
     """The paper's TGP strategy."""
 
     name = "ouroboros-tgp"
+    # A sequence without a prefill take adds min(depth, 0 + 0) = 0 below.
+    full_prefill_rows = True
 
     def segment_utilization(
         self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
@@ -33,8 +35,9 @@ class TokenGrainedPipeline(PipelineEngine):
         # A prefilling sequence keeps streaming into the pipeline beyond this
         # epoch's chunk, so its in-flight contribution is bounded by the
         # pipeline depth, not by the chunk size.  (Integer sums: exact.)
-        streaming = np.minimum(self.depth, segments.takes + segments.remaining)
-        in_flight = float(streaming.sum()) + decode_sequences
+        streaming = segments.takes + segments.remaining
+        np.minimum(streaming, self.depth, out=streaming)
+        in_flight = int(np.add.reduce(streaming)) + decode_sequences
         if in_flight <= 0:
             return 0.0
         return min(1.0, in_flight / self.depth)

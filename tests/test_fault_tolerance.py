@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import MappingError
+from repro.hardware.wafer import Wafer
+from repro.hardware.yieldmodel import DefectMap
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.mapping.fault_tolerance import FaultToleranceManager
 from repro.mapping.intercore import map_model
@@ -139,3 +141,79 @@ def test_weight_recovery_skips_kv_cores_the_kv_manager_failed():
     assert result.reclaimed_kv_core != 5
     assert 5 not in result.chain
     assert result.chain[-1] == result.reclaimed_kv_core
+
+
+def per_core_filter_recovery(ft, core_id):
+    """The reclaimed KV core and chain of a weight-core failure, found the
+    way recovery used to filter cores: ``Wafer.is_defective`` for every KV
+    core and every chain step, the first nearest candidate winning.  None
+    when the greedy chain is blocked."""
+    wafer = ft.wafer
+    dead = set(ft.failed_cores)
+    candidates = [
+        kv for kv in ft._kv_cores if kv not in dead and not wafer.is_defective(kv)
+    ]
+    target = min(candidates, key=lambda kv: wafer.manhattan(kv, core_id))
+    chain, visited = [core_id], {core_id}
+    while chain[-1] != target:
+        neighbors = [
+            n for n in wafer.neighbors(chain[-1])
+            if n not in visited and n not in dead and not wafer.is_defective(n)
+        ]
+        if not neighbors:
+            return None
+        chain.append(min(neighbors, key=lambda n: wafer.manhattan(n, target)))
+        visited.add(chain[-1])
+    return target, chain
+
+
+def test_weight_recovery_reads_defects_as_one_set(
+    tiny_arch, small_wafer_config, monkeypatch
+):
+    """On a wafer whose defects include the KV core right of each weight
+    core, recovery reclaims the core and builds the chain the per-core filter
+    did (routing round the defects, or blocked), without asking the wafer
+    about each KV core."""
+    mapping = map_model(tiny_arch, Wafer(small_wafer_config))
+    kv_cores = set(mapping.kv_core_ids)
+    defects = frozenset(
+        core + 1 for core in mapping.weight_core_ids if core + 1 in kv_cores
+    )
+    wafer = Wafer(
+        small_wafer_config,
+        defect_map=DefectMap(
+            defects, core_yield=1.0, total_cores=small_wafer_config.cores_per_wafer
+        ),
+    )
+    healthy = Wafer(small_wafer_config)
+    checked = changed = longest = 0
+    for weight_core in sorted(mapping.weight_core_ids):
+        expected = per_core_filter_recovery(
+            FaultToleranceManager(wafer, mapping), weight_core
+        )
+        changed += expected != per_core_filter_recovery(
+            FaultToleranceManager(healthy, mapping), weight_core
+        )
+        calls = []
+        is_defective = Wafer.is_defective
+
+        def counted(self, core_id, is_defective=is_defective):
+            calls.append(core_id)
+            return is_defective(self, core_id)
+
+        monkeypatch.setattr(Wafer, "is_defective", counted)
+        ft = FaultToleranceManager(wafer, mapping)
+        if expected is None:
+            with pytest.raises(MappingError, match="blocked"):
+                ft.fail_core(weight_core)
+            monkeypatch.undo()
+            continue
+        result = ft.fail_core(weight_core)
+        monkeypatch.undo()
+        assert (result.reclaimed_kv_core, result.chain) == expected
+        assert result.reclaimed_kv_core not in defects
+        assert not defects & set(result.chain)
+        assert len(calls) < len(kv_cores)
+        checked += 1
+        longest = max(longest, result.chain_length)
+    assert checked > 3 and changed and longest > 2

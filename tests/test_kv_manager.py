@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.errors import ConfigurationError, KVCacheError
 from repro.experiments.common import DECODER_MODELS, ExperimentSettings
-from repro.kvcache.manager import DistributedKVCacheManager
+from repro.kvcache.manager import DistributedKVCacheManager, _slot_counts
 from repro.kvcache.pagetable import PageTable
 from repro.kvcache.static import StaticKVCacheManager
 from repro.pipeline.checkpoint import EngineCheckpoint
@@ -344,6 +344,40 @@ class TestRingSelectionEquivalence:
         assert group_count(manager) == 1
         assert not manager.try_admit(sequences[admitted])
 
+    @pytest.mark.parametrize("kv_cores", [24, 42])
+    def test_one_group_admission_records_the_walk(self, tiny_arch, kv_cores):
+        """With at least ``kv_heads`` usable columns, one-group admission
+        skips the slot count and the fit check: it records the walked columns,
+        sorted, with the shared one-slot counts.  The record equals what the
+        walk and its slot counts give, as padded admissions' records do."""
+        manager = DistributedKVCacheManager(
+            tiny_arch, kv_core_ids=list(range(kv_cores)), blocks_per_core=8,
+            threshold=0.25,
+        )
+        heads = tiny_arch.kv_heads
+        distinct = []
+        for admitted in range(200):
+            walked = manager._walk()
+            if walked is None:
+                break
+            distinct.append(len(manager._usable_columns()) >= heads)
+            units, counts = _slot_counts(walked, manager._ring_width)
+            sequence = make_sequence(admitted)
+            if not manager.try_admit(sequence):
+                assert not distinct[-1]  # a padded walk that does not fit
+                break
+            allocation = manager._allocations[admitted]
+            assert allocation.placement.tolist() == walked.tolist()
+            assert allocation.units.tolist() == units.tolist()
+            assert allocation.unit_counts.tolist() == counts.tolist()
+            most = int(counts.max())
+            assert allocation.max_slots == most
+            assert allocation.slots_per_core == (most if counts.min() == most else 0)
+            assert (allocation.unit_counts is manager._one_slot_each) == distinct[-1]
+            manager.append_tokens(sequence, uneven_growth(manager, admitted))
+        assert True in distinct and False in distinct
+        assert not manager._one_slot_each.flags.writeable
+
 
 class TestPageTableCheckpointContract:
     """Page tables are views built from per-sequence placements on lookup;
@@ -615,6 +649,13 @@ def group_count(manager) -> int:
     return len(manager._group_units)
 
 
+def uneven_growth(manager, admitted: int) -> int:
+    """Tokens that grow the ``admitted``-th sequence by 0, 2, 4, 6 or 8
+    blocks per slot in turn, so the ring columns starve unevenly."""
+    blocks = (admitted % 5) * 2
+    return blocks * manager.tokens_per_block + 1 if blocks else 0
+
+
 #: the tiny arch's 4 ring rows over these many cores are 1 (3 cores: fewer
 #: than rows, core 0 sits in two rows), 2 (< kv_heads), 4 (== kv_heads), 8
 #: and 10 cores wide; at 42 two cores sit outside every row
@@ -752,6 +793,40 @@ class TestColumnAccountingDifferential:
                 continue
             assert answers[0] == answers[1]
             self._assert_same(*managers)
+
+    @pytest.mark.parametrize("kv_cores", [16, 24, 42])
+    def test_one_group_admissions_match_per_core(self, tiny_arch, kv_cores):
+        """Admissions through the one-group branch (at least ``kv_heads``
+        usable columns), padded ones and threshold-starved ones, with uneven
+        growth between them, leave the same state as per-core accounting."""
+        config = {
+            "cores": kv_cores, "blocks_per_core": 8, "threshold": 0.25, "quota": None,
+        }
+        managers = [
+            self._build(cls, tiny_arch, config)
+            for cls in (DistributedKVCacheManager, PerCoreManager)
+        ]
+        heads = tiny_arch.kv_heads
+        kinds = []
+        for admitted in range(200):
+            usable = len(managers[0]._usable_columns())
+            kinds.append(
+                "one group" if usable >= heads else "padded" if usable else "starved"
+            )
+            sequence = make_sequence(admitted)
+            answers = [manager.try_admit(sequence) for manager in managers]
+            assert answers[0] == answers[1]
+            self._assert_same(*managers)
+            if not answers[0]:
+                break
+            assert kinds[-1] != "starved"
+            growth = uneven_growth(managers[0], admitted)
+            answers = [manager.append_tokens(sequence, growth) for manager in managers]
+            assert answers[0] == answers[1]
+            self._assert_same(*managers)
+        assert kinds.count("one group") > 1
+        # Columns starve one by one only where the ring is wider than a walk.
+        assert ("padded" in kinds) == (managers[0]._ring_width > heads)
 
     def test_restore_rejects_unequal_ring_pointers(self, manager):
         manager.try_admit(make_sequence(0))
