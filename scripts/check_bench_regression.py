@@ -18,6 +18,10 @@ fresh bench run overwrites it) — and fails when:
   tolerance: ``stream_requests_per_s`` below the committed floor, or
   ``stream_peak_rss_mb`` above the committed ceiling.
 
+It also prints every ``timings_s`` stage's change against the committed
+report, for information only: a stage's host wall-clock moves with the host's
+load, so no stage is gated on it.
+
 The reports must have been generated with the same ``num_requests`` —
 comparing a 50-request CI run against a committed 150-request report would
 silently compare different simulations, so that is an error, not a skip.
@@ -200,6 +204,25 @@ def compare(fresh: dict, baseline: dict, wallclock_tolerance: float) -> list[str
     return failures
 
 
+def stage_deltas(fresh: dict, baseline: dict) -> list[str]:
+    """One line per ``timings_s`` stage: seconds in both reports and the change."""
+    fresh_stages = fresh.get("timings_s", {})
+    baseline_stages = baseline.get("timings_s", {})
+    lines: list[str] = []
+    for stage in sorted(set(fresh_stages) | set(baseline_stages)):
+        if stage not in baseline_stages:
+            lines.append(f"{stage}: {float(fresh_stages[stage]):.4f} s (new stage)")
+            continue
+        before = float(baseline_stages[stage])
+        if stage not in fresh_stages:
+            lines.append(f"{stage}: not run (committed {before:.4f} s)")
+            continue
+        after = float(fresh_stages[stage])
+        change = f"{(after - before) / before:+.1%}" if before > 0 else "n/a"
+        lines.append(f"{stage}: {before:.4f} s -> {after:.4f} s ({change})")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -237,6 +260,11 @@ def main(argv: list[str] | None = None) -> int:
         baseline_name, baseline = committed
 
     fresh = json.loads(fresh_path.read_text())
+    deltas = stage_deltas(fresh, baseline)
+    if deltas:
+        print(f"stage timings vs {baseline_name} (information only, not gated):")
+        for line in deltas:
+            print(f"  {line}")
     failures = compare(fresh, baseline, args.wallclock_tolerance)
     if failures:
         print(f"bench regression gate FAILED ({fresh_path.name} vs {baseline_name}):")

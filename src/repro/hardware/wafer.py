@@ -8,6 +8,8 @@ The wafer exposes:
   term of Eq. 1),
 * an S-shaped (boustrophedon) traversal order over cores that follows the
   paper's S-shaped logical routing topology for pipeline stages,
+* one defect lookup, read into a boolean array once per wafer, that every
+  healthy-core filter and placement check of the mapper shares (Eq. 2),
 * lazy instantiation of behavioural :class:`~repro.hardware.core.CIMCore`
   objects, so that constructing a 13,923-core wafer stays cheap until a core
   is actually exercised.
@@ -15,7 +17,7 @@ The wafer exposes:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +46,18 @@ class WaferGeometry:
     die_rows: np.ndarray
     die_cols: np.ndarray
 
-    def weighted_distance(self, a: int, b: int, inter_die_factor: float) -> float:
-        """Manhattan distance with the die-crossing penalty (scalar fast path)."""
-        distance = float(
-            abs(int(self.rows[a]) - int(self.rows[b]))
-            + abs(int(self.cols[a]) - int(self.cols[b]))
+    def weighted_distances(
+        self, a: np.ndarray, b: np.ndarray | int, inter_die_factor: float
+    ) -> np.ndarray:
+        """Manhattan distances with the die-crossing penalty of Eq. 1, between
+        aligned core-id arrays (``b`` broadcasts)."""
+        distance = (
+            np.abs(self.rows[a] - self.rows[b]) + np.abs(self.cols[a] - self.cols[b])
+        ).astype(np.float64)
+        cross = (self.die_rows[a] != self.die_rows[b]) | (
+            self.die_cols[a] != self.die_cols[b]
         )
-        if (
-            self.die_rows[a] != self.die_rows[b]
-            or self.die_cols[a] != self.die_cols[b]
-        ):
-            distance *= inter_die_factor
+        distance[cross] *= inter_die_factor
         return distance
 
 
@@ -87,6 +90,7 @@ class Wafer:
         ]
         self._cores: dict[int, CIMCore] = {}
         self._geometry: WaferGeometry | None = None
+        self._healthy: np.ndarray | None = None
 
     # --------------------------------------------------------------- geometry
 
@@ -169,37 +173,54 @@ class Wafer:
         the order *compact in two dimensions*: a slice of ``k`` cores spans
         roughly ``band_height x (k / band_height)`` mesh positions, which is
         what the per-block mapping regions want.
+
+        Band ``b`` covers rows ``[b * band_height, (b + 1) * band_height)``
+        (the last band may be shorter) and runs left to right when ``b`` is
+        even, right to left when odd; within it, the ``j``-th column visited
+        runs down when ``j`` is even, up when odd.
         """
-        if band_height < 1:
-            band_height = 1
-        order: list[int] = []
-        num_bands = (self.core_rows + band_height - 1) // band_height
-        for band in range(num_bands):
-            row_start = band * band_height
-            row_end = min(self.core_rows, row_start + band_height)
-            cols: Iterator[int] = (
-                range(self.core_cols) if band % 2 == 0 else reversed(range(self.core_cols))
-            )
-            for index, col in enumerate(cols):
-                rows: Iterator[int] = (
-                    range(row_start, row_end)
-                    if index % 2 == 0
-                    else reversed(range(row_start, row_end))
-                )
-                for row in rows:
-                    order.append(self.core_id_at(row, col))
-        return order
+        return self._s_order(band_height).tolist()
+
+    def healthy_s_shaped_order(self, band_height: int = 1) -> list[int]:
+        """:meth:`s_shaped_order` without the defective cores: the walk the
+        inter-core mapper cuts into one region per transformer block."""
+        order = self._s_order(band_height)
+        return order[self.healthy_mask(order)].tolist()
 
     # ----------------------------------------------------------------- defects
 
     def is_defective(self, core_id: int) -> bool:
         self._check_core_id(core_id)
-        if self.defect_map is None:
-            return False
-        return self.defect_map.is_defective(core_id)
+        return not bool(self._healthy_table()[core_id])
+
+    def healthy_mask(self, core_ids: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Whether each of ``core_ids`` is a healthy core of this wafer, in order.
+
+        An id outside the wafer is not healthy.  This is the one defect lookup
+        of the mapping constraints (Eq. 2): the defect set is read into a
+        boolean array once per wafer, so filtering a region or checking a
+        placement is a few array operations rather than a call per core.
+        """
+        ids = np.asarray(core_ids, dtype=np.int64)
+        inside = (ids >= 0) & (ids < self.num_cores)
+        return inside & self._healthy_table()[np.where(inside, ids, 0)]
+
+    def healthy(self, core_ids: Sequence[int] | np.ndarray) -> list[int]:
+        """The healthy cores among ``core_ids``, in their order.
+
+        Raises :class:`ConfigurationError` naming the first id outside the
+        wafer, as :meth:`is_defective` would on reaching it.
+        """
+        ids = np.asarray(core_ids, dtype=np.int64)
+        keep = self.healthy_mask(ids)
+        if not keep.all():
+            outside = (ids < 0) | (ids >= self.num_cores)
+            if outside.any():
+                self._check_core_id(int(ids[outside.argmax()]))
+        return ids[keep].tolist()
 
     def healthy_core_ids(self) -> list[int]:
-        return [cid for cid in range(self.num_cores) if not self.is_defective(cid)]
+        return self.healthy(np.arange(self.num_cores, dtype=np.int64))
 
     @property
     def num_healthy_cores(self) -> int:
@@ -244,6 +265,28 @@ class Wafer:
 
     # ------------------------------------------------------------------ private
 
+    def _s_order(self, band_height: int) -> np.ndarray:
+        """The S-shaped order as an array (see :meth:`s_shaped_order`)."""
+        band_height = max(1, band_height)
+        full_bands, last_height = divmod(self.core_rows, band_height)
+        parts = [_bands(0, full_bands, band_height, band_height, self.core_cols)]
+        if last_height:
+            parts.append(
+                _bands(full_bands, 1, last_height, band_height, self.core_cols)
+            )
+        return np.concatenate(parts)
+
+    def _healthy_table(self) -> np.ndarray:
+        """``table[core_id]`` is whether the core is healthy (built on first use)."""
+        if self._healthy is None:
+            table = np.ones(self.num_cores, dtype=bool)
+            if self.defect_map is not None and self.defect_map.defective_cores:
+                defective = np.fromiter(self.defect_map.defective_cores, dtype=np.int64)
+                # An id outside the wafer marks nothing, as in is_defective.
+                table[defective[(defective >= 0) & (defective < self.num_cores)]] = False
+            self._healthy = table
+        return self._healthy
+
     def _check_core_id(self, core_id: int) -> None:
         if not 0 <= core_id < self.num_cores:
             raise ConfigurationError(
@@ -255,3 +298,20 @@ class Wafer:
             f"Wafer({self.config.die_rows}x{self.config.die_cols} dies, "
             f"{self.num_cores} cores, {self.sram_bytes / (1 << 30):.1f} GiB SRAM)"
         )
+
+
+def _bands(
+    first_band: int, num_bands: int, height: int, band_height: int, cols: int
+) -> np.ndarray:
+    """Core ids of ``num_bands`` bands of ``height`` rows, in S-shaped order.
+
+    The bands are ``first_band, first_band + 1, ...`` of a traversal whose
+    bands are ``band_height`` rows apart, on a mesh ``cols`` cores wide.
+    """
+    position = np.arange(num_bands * height * cols, dtype=np.int64)
+    band, offset = np.divmod(position, height * cols)
+    band += first_band
+    visit, step = np.divmod(offset, height)
+    row = band * band_height + np.where(visit % 2 == 0, step, height - 1 - step)
+    col = np.where(band % 2 == 0, visit, cols - 1 - visit)
+    return row * cols + col

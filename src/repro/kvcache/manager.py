@@ -266,6 +266,10 @@ class DistributedKVCacheManager:
     def num_kv_cores(self) -> int:
         return len(self.kv_core_ids)
 
+    def holds_core(self, core_id: int) -> bool:
+        """Whether ``core_id`` is one of this manager's KV cores (one lookup)."""
+        return core_id in self._core_index
+
     @property
     def total_blocks(self) -> int:
         return (self.num_kv_cores - len(self._failed_cores)) * self.blocks_per_core

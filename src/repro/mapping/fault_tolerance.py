@@ -109,7 +109,7 @@ class FaultToleranceManager:
         self._kv_cores.discard(core_id)
         self._failed_cores.add(core_id)
         affected: list[int] = []
-        if self.kv_manager is not None and core_id in self.kv_manager.kv_core_ids:
+        if self.kv_manager is not None and self.kv_manager.holds_core(core_id):
             affected = self.kv_manager.fail_core(core_id)
         return RemappingResult(
             failed_core=core_id,
@@ -136,7 +136,7 @@ class FaultToleranceManager:
             moved += weight_bytes
 
         affected: list[int] = []
-        if self.kv_manager is not None and target_kv in self.kv_manager.kv_core_ids:
+        if self.kv_manager is not None and self.kv_manager.holds_core(target_kv):
             affected = self.kv_manager.fail_core(target_kv)
 
         self._failed_cores.add(core_id)

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ..errors import MappingError
 from ..hardware.wafer import Wafer
@@ -32,14 +36,19 @@ from .objective import CommunicationCost, MappingProblem, Placement, Tile, evalu
 
 @dataclass
 class BlockMapping:
-    """Result of placing one block's tiles."""
+    """Result of placing one block's tiles.
+
+    The derived core lists are computed on first access and kept: a mapping
+    is not edited after it is built, and every pipeline, summary and fault
+    manager reads them.
+    """
 
     placement: Placement
     cost: CommunicationCost
     weight_core_ids: list[int]
     region_core_ids: list[int]
 
-    @property
+    @cached_property
     def kv_core_ids(self) -> list[int]:
         used = set(self.weight_core_ids)
         return [core for core in self.region_core_ids if core not in used]
@@ -59,14 +68,17 @@ class WaferMapping:
     #: the mapping-quality comparison of Fig. 18.
     activation_route_hops: float = 2.0
 
-    @property
+    # Derived once, like BlockMapping's lists: the blocks are final once
+    # map_model returns.
+
+    @cached_property
     def weight_core_ids(self) -> list[int]:
         cores: list[int] = []
         for block in self.block_mappings:
             cores.extend(block.weight_core_ids)
         return cores
 
-    @property
+    @cached_property
     def kv_core_ids(self) -> list[int]:
         cores: list[int] = []
         for block in self.block_mappings:
@@ -128,7 +140,7 @@ class BlockMapper:
         is a strong starting point because inter-layer traffic dominates.
         """
         tiles = self.problem.tiles()
-        healthy = [core for core in region_core_ids if not self.wafer.is_defective(core)]
+        healthy = self.wafer.healthy(region_core_ids)
         if len(healthy) < len(tiles):
             raise MappingError(
                 f"region has {len(healthy)} healthy cores but the block needs "
@@ -154,7 +166,7 @@ class BlockMapper:
             return placement
         rng = random.Random(self.seed)
         wafer = self.wafer
-        healthy = [core for core in region_core_ids if not wafer.is_defective(core)]
+        healthy = wafer.healthy(region_core_ids)
         tiles = list(placement.assignment.keys())
         num_tiles = len(tiles)
         if num_tiles == 0:
@@ -285,17 +297,20 @@ def _apply_pattern(
 ) -> BlockMapping:
     """Replicate a relative placement pattern onto another region of cores.
 
-    If a pattern slot falls on a defective core of the new region, the tile is
-    diverted to the nearest unused healthy core of the region.
+    Tile ``i`` takes ``region[pattern[i]]``.  A slot past the region's end, on
+    a defective core or on a core an earlier tile took is diverted to the
+    region's first unused healthy core.
     """
+    # -1 marks a slot past the region's end: the wafer reads it as unusable.
+    slots = [region[index] if index < len(region) else -1 for index in pattern]
+    usable = wafer.healthy_mask(slots).tolist()
     used: set[int] = set()
     assignment: dict[Tile, int] = {}
     # Fallback cores are handed out in region order; every core before the
     # iterator's position is already used, so one forward pass suffices.
-    fallback = iter(core for core in region if not wafer.is_defective(core))
-    for tile, index in zip(tiles, pattern):
-        core = region[index] if index < len(region) else None
-        if core is None or wafer.is_defective(core) or core in used:
+    fallback = _healthy_cores(wafer, region)
+    for tile, core, ok in zip(tiles, slots, usable):
+        if not ok or core in used:
             core = next((c for c in fallback if c not in used), None)
             if core is None:
                 raise MappingError("not enough healthy cores to replicate the pattern")
@@ -310,6 +325,11 @@ def _apply_pattern(
         weight_core_ids=sorted(placement.cores()),
         region_core_ids=list(region),
     )
+
+
+def _healthy_cores(wafer: Wafer, region: list[int]) -> Iterator[int]:
+    """The healthy cores of ``region`` in order, filtered on the first ``next``."""
+    yield from wafer.healthy(region)
 
 
 def map_model(
@@ -339,11 +359,7 @@ def map_model(
     # wide, so each block occupies a compact 2D patch instead of a long strip.
     approximate_region = max(1, wafer.num_healthy_cores // arch.num_blocks)
     band_height = max(1, int(round(math.sqrt(approximate_region))))
-    healthy_order = [
-        core
-        for core in wafer.s_shaped_order(band_height=band_height)
-        if not wafer.is_defective(core)
-    ]
+    healthy_order = wafer.healthy_s_shaped_order(band_height=band_height)
     total_needed = tiles_per_block * arch.num_blocks
     if total_needed > len(healthy_order) * (1.0 - min_kv_fraction):
         raise MappingError(
@@ -373,20 +389,29 @@ def map_model(
             mapping = _apply_pattern(problem, wafer, tiles, region, pattern)
         block_mappings.append(mapping)
 
-    # Inter-block hand-off cost: last layer of block k -> first tile of block k+1.
-    inter_block = 0.0
+    # Inter-block hand-off cost: last layer of block k -> first tile of block
+    # k+1.  The charges are added one at a time, block pair by block pair and
+    # tile by tile, so the total rounds as it always has.
     layers = sorted(problem.layers, key=lambda layer: layer.index)
     last_layer = layers[-1]
     last_tiles = problem.tiles_of_layer(last_layer.index)
     handoff_bytes = problem.inter_layer_bytes(last_layer)
-    geometry = wafer.geometry()
-    for current, nxt in zip(block_mappings, block_mappings[1:]):
-        entry_core = nxt.weight_core_ids[0]
-        for tile in last_tiles:
-            src = current.placement.core_of(tile)
-            inter_block += handoff_bytes * geometry.weighted_distance(
-                src, entry_core, problem.inter_die_cost_factor
-            )
+    sources = np.array(
+        [
+            [current.placement.assignment[tile] for tile in last_tiles]
+            for current in block_mappings[:-1]
+        ],
+        dtype=np.int64,
+    )
+    entries = np.array(
+        [nxt.weight_core_ids[0] for nxt in block_mappings[1:]], dtype=np.int64
+    )
+    distances = wafer.geometry().weighted_distances(
+        sources, entries[:, None], problem.inter_die_cost_factor
+    )
+    inter_block = 0.0
+    for charge in (handoff_bytes * distances).ravel().tolist():
+        inter_block += charge
 
     route_hops = _activation_route_hops(problem, wafer, block_mappings[0])
     return WaferMapping(

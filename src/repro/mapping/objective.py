@@ -318,35 +318,31 @@ class Placement:
         return list(self.assignment.values())
 
     def validate(self, wafer: Wafer) -> None:
-        """Check constraints Eq. 2: one tile per core, no defective cores."""
+        """Check constraints Eq. 2: one tile per core, no defective cores.
+
+        The error names the first offending tile in assignment order: its core
+        holds an earlier tile, lies outside the wafer
+        (:class:`~repro.errors.ConfigurationError`) or is defective.
+        """
         seen: set[int] = set()
-        for tile, core_id in self.assignment.items():
+        healthy = wafer.healthy_mask(self.cores()).tolist()
+        for (tile, core_id), ok in zip(self.assignment.items(), healthy):
             if core_id in seen:
                 raise MappingError(f"core {core_id} holds more than one tile")
-            if wafer.is_defective(core_id):
+            # is_defective raises ConfigurationError for an id outside the wafer.
+            if not ok and wafer.is_defective(core_id):
                 raise MappingError(f"tile {tile} placed on defective core {core_id}")
             seen.add(core_id)
-
-
-def _weighted_distance(wafer: Wafer, problem: MappingProblem, a: int, b: int) -> float:
-    """Manhattan distance with the die-crossing penalty of Eq. 1."""
-    distance = float(wafer.manhattan(a, b))
-    if not wafer.same_die(a, b):
-        distance *= problem.inter_die_cost_factor
-    return distance
 
 
 def placement_core_array(problem: MappingProblem, placement: Placement) -> np.ndarray:
     """Core id of every tile, in :meth:`MappingProblem.tiles` order."""
     tiles = problem._tile_cache()[0]
     assignment = placement.assignment
-    cores = np.empty(len(tiles), dtype=np.int64)
-    for i, tile in enumerate(tiles):
-        core = assignment.get(tile)
-        if core is None:
-            raise MappingError(f"tile {tile} is not placed")
-        cores[i] = core
-    return cores
+    cores = [assignment.get(tile) for tile in tiles]
+    if None in cores:
+        raise MappingError(f"tile {tiles[cores.index(None)]} is not placed")
+    return np.array(cores, dtype=np.int64)
 
 
 def _class_cost(
@@ -360,17 +356,7 @@ def _class_cost(
     """Σ volume · weighted Manhattan distance over one traffic class."""
     if len(src) == 0:
         return 0.0
-    a = cores[src]
-    b = cores[dst]
-    dist = np.abs(geometry.rows[a] - geometry.rows[b]) + np.abs(
-        geometry.cols[a] - geometry.cols[b]
-    )
-    weighted = dist.astype(np.float64)
-    cross = (geometry.die_rows[a] != geometry.die_rows[b]) | (
-        geometry.die_cols[a] != geometry.die_cols[b]
-    )
-    weighted[cross] *= factor
-    return float(np.dot(vol, weighted))
+    return float(np.dot(vol, geometry.weighted_distances(cores[src], cores[dst], factor)))
 
 
 def evaluate_placement(
@@ -411,15 +397,9 @@ def evaluate_placement(
     # Hand-off to the next block's first layer (single representative core).
     if next_block_entry_core is not None and len(edges.handoff_tiles) > 0:
         src_cores = cores[edges.handoff_tiles]
-        entry = int(next_block_entry_core)
-        dist = np.abs(geometry.rows[src_cores] - geometry.rows[entry]) + np.abs(
-            geometry.cols[src_cores] - geometry.cols[entry]
+        weighted = geometry.weighted_distances(
+            src_cores, int(next_block_entry_core), factor
         )
-        weighted = dist.astype(np.float64)
-        cross = (geometry.die_rows[src_cores] != geometry.die_rows[entry]) | (
-            geometry.die_cols[src_cores] != geometry.die_cols[entry]
-        )
-        weighted[cross] *= factor
         inter += float(edges.handoff_vol * weighted.sum())
         total_bytes += edges.handoff_vol * len(src_cores)
 

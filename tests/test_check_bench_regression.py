@@ -5,8 +5,8 @@ path.  Covered: bitwise drift detection on deterministic headline metrics,
 the wall-clock tolerance gate, the directional streaming gates
 (``stream_requests_per_s`` floor / ``stream_peak_rss_mb`` ceiling), the
 warning for deterministic fresh-only keys, the ``num_requests`` and
-``stream_requests`` mismatch errors, and ``main()``'s exit codes with
-explicit ``--fresh``/``--baseline`` files.
+``stream_requests`` mismatch errors, the ungated per-stage timing deltas,
+and ``main()``'s exit codes with explicit ``--fresh``/``--baseline`` files.
 """
 
 import importlib.util
@@ -218,3 +218,43 @@ class TestMain:
         assert gate.main(["--fresh", fresh, "--baseline", baseline]) == 1
         assert gate.main(["--fresh", fresh, "--baseline", baseline,
                           "--wallclock-tolerance", "0.5"]) == 0
+
+
+class TestStageDeltas:
+    def test_one_line_per_stage_with_the_change(self, gate):
+        fresh = report()
+        fresh["timings_s"] = {"build.llama-13b": 0.03, "serve.x": 0.5, "new": 1.0}
+        baseline = report()
+        baseline["timings_s"] = {"build.llama-13b": 0.05, "serve.x": 0.5, "old": 2.0}
+        assert gate.stage_deltas(fresh, baseline) == [
+            "build.llama-13b: 0.0500 s -> 0.0300 s (-40.0%)",
+            "new: 1.0000 s (new stage)",
+            "old: not run (committed 2.0000 s)",
+            "serve.x: 0.5000 s -> 0.5000 s (+0.0%)",
+        ]
+
+    def test_zero_baseline_stage_has_no_ratio(self, gate):
+        fresh = report()
+        fresh["timings_s"] = {"s": 0.1}
+        baseline = report()
+        baseline["timings_s"] = {"s": 0.0}
+        assert gate.stage_deltas(fresh, baseline) == ["s: 0.0000 s -> 0.1000 s (n/a)"]
+
+    def test_reports_without_stages_print_nothing(self, gate):
+        assert gate.stage_deltas(report(), report()) == []
+
+    def test_main_prints_deltas_and_never_gates_on_them(self, gate, tmp_path, capsys):
+        fresh = report({"average_speedup": 1.5})
+        fresh["timings_s"] = {"build.llama-13b": 5.0}
+        baseline = report({"average_speedup": 1.5})
+        baseline["timings_s"] = {"build.llama-13b": 0.05}
+        paths = []
+        for name, data in (("fresh.json", fresh), ("base.json", baseline)):
+            (tmp_path / name).write_text(json.dumps(data))
+            paths.append(str(tmp_path / name))
+        code = gate.main(["--fresh", paths[0], "--baseline", paths[1]])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "information only, not gated" in out
+        assert "build.llama-13b: 0.0500 s -> 5.0000 s (+9900.0%)" in out
+        assert "passed" in out

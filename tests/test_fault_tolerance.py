@@ -122,6 +122,29 @@ class TestWeightCoreFailure:
         assert result.recovery_latency_s == 0.0
 
 
+class _NoScan(list):
+    """A KV core list that fails any membership scan."""
+
+    def __contains__(self, core):
+        raise AssertionError(f"scanned the KV core list for core {core}")
+
+
+def test_fault_paths_ask_the_kv_manager_by_core_index(mapped_system):
+    """Failing a KV core and a weight core looks each core up in the KV
+    manager's core index, never by scanning its KV core list."""
+    mapping, kv_manager, ft = mapped_system
+    kv_manager.kv_core_ids = _NoScan(kv_manager.kv_core_ids)
+    seq = admit_one(kv_manager)
+    used = sorted(kv_manager.page_tables[0].cores_of(seq.sequence_id))
+    result = ft.fail_core(used[0])
+    assert seq.sequence_id in result.affected_sequences
+    assert used[0] in kv_manager.failed_cores
+    result = ft.fail_core(mapping.weight_core_ids[0])
+    assert result.reclaimed_kv_core in kv_manager.failed_cores
+    assert kv_manager.holds_core(result.reclaimed_kv_core)
+    assert not kv_manager.holds_core(mapping.weight_core_ids[1])
+
+
 def test_weight_recovery_skips_kv_cores_the_kv_manager_failed():
     """A ``kv_core`` fault fails its core through the KV manager alone; a
     later weight-core chain must neither reclaim nor cross that dead core.

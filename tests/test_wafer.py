@@ -1,11 +1,55 @@
 """Tests for wafer geometry, S-shaped ordering, defects and lazy cores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hardware.config import DieConfig, WaferConfig
 from repro.hardware.core import CoreRole
 from repro.hardware.wafer import Wafer
 from repro.hardware.yieldmodel import DefectMap
+
+
+def boustrophedon(wafer, band_height=1):
+    """The S-shaped order as a per-core loop: the reference for the array build."""
+    if band_height < 1:
+        band_height = 1
+    order = []
+    num_bands = (wafer.core_rows + band_height - 1) // band_height
+    for band in range(num_bands):
+        row_start = band * band_height
+        row_end = min(wafer.core_rows, row_start + band_height)
+        cols = range(wafer.core_cols) if band % 2 == 0 else reversed(range(wafer.core_cols))
+        for index, col in enumerate(cols):
+            rows = (
+                range(row_start, row_end)
+                if index % 2 == 0
+                else reversed(range(row_start, row_end))
+            )
+            for row in rows:
+                order.append(wafer.core_id_at(row, col))
+    return order
+
+
+@st.composite
+def wafers(draw, max_defects=0):
+    """Small wafers of any die grid and die shape, optionally with defects."""
+    die = DieConfig(rows=draw(st.integers(1, 5)), cols=draw(st.integers(1, 5)))
+    config = WaferConfig(
+        die=die, die_rows=draw(st.integers(1, 3)), die_cols=draw(st.integers(1, 3))
+    )
+    defects = draw(
+        st.frozensets(
+            st.integers(0, config.cores_per_wafer - 1), max_size=max_defects
+        )
+    )
+    return Wafer(
+        config,
+        defect_map=DefectMap(
+            defects, core_yield=1.0, total_cores=config.cores_per_wafer
+        ),
+    )
 
 
 class TestGeometry:
@@ -85,6 +129,19 @@ class TestSShapedOrder:
     def test_band_height_below_one_clamped(self, small_wafer):
         assert small_wafer.s_shaped_order(band_height=0) == small_wafer.s_shaped_order(1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), wafer=wafers())
+    def test_array_order_matches_the_per_core_loop(self, data, wafer):
+        band_height = data.draw(st.integers(0, wafer.core_rows + 1))
+        order = wafer.s_shaped_order(band_height)
+        assert order == boustrophedon(wafer, band_height)
+        assert all(type(core) is int for core in order)
+
+    def test_default_wafer_orders_match_the_per_core_loop(self):
+        wafer = Wafer()
+        for band_height in (1, 19, wafer.core_rows, wafer.core_rows + 1):
+            assert wafer.s_shaped_order(band_height) == boustrophedon(wafer, band_height)
+
 
 class TestDefects:
     def test_no_defect_map_all_healthy(self, small_wafer):
@@ -107,6 +164,48 @@ class TestDefects:
         )
         with pytest.raises(ConfigurationError):
             Wafer(small_wafer_config, defect_map=defects)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), wafer=wafers(max_defects=12))
+    def test_healthy_filter_matches_the_defect_map(self, data, wafer):
+        """Every defect lookup of the wafer agrees with its defect map."""
+        defective = wafer.defect_map.defective_cores
+        core_ids = data.draw(
+            st.lists(st.integers(0, wafer.num_cores - 1), max_size=40)
+        )
+        assert wafer.healthy(core_ids) == [c for c in core_ids if c not in defective]
+        assert wafer.healthy_mask(core_ids).tolist() == [
+            c not in defective for c in core_ids
+        ]
+        assert [wafer.is_defective(c) for c in core_ids] == [
+            c in defective for c in core_ids
+        ]
+        band_height = data.draw(st.integers(0, wafer.core_rows + 1))
+        assert wafer.healthy_s_shaped_order(band_height) == [
+            c for c in boustrophedon(wafer, band_height) if c not in defective
+        ]
+        assert wafer.healthy_core_ids() == [
+            c for c in range(wafer.num_cores) if c not in defective
+        ]
+
+    def test_healthy_filter_names_the_first_id_outside_the_wafer(self, small_wafer):
+        with pytest.raises(ConfigurationError, match="core id 64 outside"):
+            small_wafer.healthy([3, 64, -1, 70])
+        with pytest.raises(ConfigurationError, match="core id -1 outside"):
+            small_wafer.healthy([3, -1, 64])
+        # The mask itself reads an id outside the wafer as not healthy.
+        assert small_wafer.healthy_mask([3, 64, -1]).tolist() == [True, False, False]
+        assert small_wafer.healthy([]) == []
+
+    def test_defect_ids_outside_the_wafer_mark_nothing(self, small_wafer_config):
+        wafer = Wafer(
+            small_wafer_config,
+            defect_map=DefectMap(frozenset({-1, 5, 64}), core_yield=0.9, total_cores=64),
+        )
+        assert wafer.healthy([5, 63, 0]) == [63, 0]
+        assert wafer.is_defective(5) and not wafer.is_defective(63)
+        with pytest.raises(ConfigurationError, match="core id 64 outside"):
+            wafer.is_defective(64)
 
     def test_defective_core_object_marked(self, small_wafer_config):
         defects = DefectMap(
