@@ -20,7 +20,10 @@ fresh bench run overwrites it) — and fails when:
 
 It also prints every ``timings_s`` stage's change against the committed
 report, for information only: a stage's host wall-clock moves with the host's
-load, so no stage is gated on it.
+load, so no stage is gated on it.  When both reports carry the stage's
+``meta.host_slowdown`` (the calibration kernel sampled around the stage), the
+host-normalised change -- each side's seconds divided by its slowdown -- is
+printed beside the raw one.
 
 The reports must have been generated with the same ``num_requests`` —
 comparing a 50-request CI run against a committed 150-request report would
@@ -205,9 +208,12 @@ def compare(fresh: dict, baseline: dict, wallclock_tolerance: float) -> list[str
 
 
 def stage_deltas(fresh: dict, baseline: dict) -> list[str]:
-    """One line per ``timings_s`` stage: seconds in both reports and the change."""
+    """One line per ``timings_s`` stage: seconds in both reports and the
+    change, also host-normalised where both reports measured the host."""
     fresh_stages = fresh.get("timings_s", {})
     baseline_stages = baseline.get("timings_s", {})
+    fresh_slowdown = fresh.get("meta", {}).get("host_slowdown", {})
+    baseline_slowdown = baseline.get("meta", {}).get("host_slowdown", {})
     lines: list[str] = []
     for stage in sorted(set(fresh_stages) | set(baseline_stages)):
         if stage not in baseline_stages:
@@ -219,6 +225,10 @@ def stage_deltas(fresh: dict, baseline: dict) -> list[str]:
             continue
         after = float(fresh_stages[stage])
         change = f"{(after - before) / before:+.1%}" if before > 0 else "n/a"
+        slowdowns = (fresh_slowdown.get(stage), baseline_slowdown.get(stage))
+        if before > 0 and all(slowdowns):
+            normalised = (after / slowdowns[0]) / (before / slowdowns[1]) - 1
+            change += f"; host-normalised {normalised:+.1%}"
         lines.append(f"{stage}: {before:.4f} s -> {after:.4f} s ({change})")
     return lines
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,15 +37,25 @@ class WaferGeometry:
 
     ``rows[i]``/``cols[i]`` are core ``i``'s global mesh coordinates and
     ``die_rows[i]``/``die_cols[i]`` the coordinates of the die it sits on.
-    Built once per wafer and shared by the mapping objective, the annealer and
-    the route-hop estimator, which would otherwise pay a Python call stack per
-    coordinate lookup.
+    Built once per wafer shape, read only, and shared by every wafer of that
+    shape and by the mapping objective, the annealer and the route-hop
+    estimator, which would otherwise pay a Python call stack per coordinate
+    lookup.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     die_rows: np.ndarray
     die_cols: np.ndarray
+
+    @cached_property
+    def coordinates(self) -> tuple[tuple[int, ...], ...]:
+        """``(rows, cols, die_rows, die_cols)`` as tuples of ints, read once
+        per geometry for scalar lookups (the annealer's distance deltas)."""
+        return tuple(
+            tuple(array.tolist())
+            for array in (self.rows, self.cols, self.die_rows, self.die_cols)
+        )
 
     def weighted_distances(
         self, a: np.ndarray, b: np.ndarray | int, inter_die_factor: float
@@ -59,6 +70,23 @@ class WaferGeometry:
         )
         distance[cross] *= inter_die_factor
         return distance
+
+
+@lru_cache(maxsize=8)
+def _shaped_geometry(
+    num_cores: int, core_cols: int, die_core_rows: int, die_core_cols: int
+) -> WaferGeometry:
+    """The read-only geometry of a wafer shape: its core count and mesh
+    width, and the core rows and columns of one die."""
+    ids = np.arange(num_cores, dtype=np.int64)
+    rows = ids // core_cols
+    cols = ids % core_cols
+    geometry = WaferGeometry(
+        rows=rows, cols=cols, die_rows=rows // die_core_rows, die_cols=cols // die_core_cols
+    )
+    for array in (geometry.rows, geometry.cols, geometry.die_rows, geometry.die_cols):
+        array.flags.writeable = False
+    return geometry
 
 
 class Wafer:
@@ -95,16 +123,11 @@ class Wafer:
     # --------------------------------------------------------------- geometry
 
     def geometry(self) -> WaferGeometry:
-        """Cached flat coordinate arrays for every core (built on first use)."""
+        """Flat coordinate arrays for every core, shared by every wafer of
+        this shape (looked up on first use)."""
         if self._geometry is None:
-            ids = np.arange(self.num_cores, dtype=np.int64)
-            rows = ids // self.core_cols
-            cols = ids % self.core_cols
-            self._geometry = WaferGeometry(
-                rows=rows,
-                cols=cols,
-                die_rows=rows // self.config.die.rows,
-                die_cols=cols // self.config.die.cols,
+            self._geometry = _shaped_geometry(
+                self.num_cores, self.core_cols, self.config.die.rows, self.config.die.cols
             )
         return self._geometry
 

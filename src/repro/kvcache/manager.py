@@ -230,7 +230,9 @@ class DistributedKVCacheManager:
         self._slots_per_sequence = rows * arch.kv_heads
         # The group of every ring row (replaced, never written in place:
         # allocations keep the array of their admission) and each group's
-        # unit per ring column.
+        # unit per ring column.  A group's units are consecutive, so the unit
+        # of column c in group g is ``_group_units[g, 0] + c`` (one group per
+        # row only happens on a ring one column wide).
         if self._rows_share_groups():
             # One group of every row: its units are the ring columns.
             self._row_group = np.zeros(rows, dtype=np.int64)
@@ -405,47 +407,58 @@ class DistributedKVCacheManager:
             usable.append(usable[len(usable) % max(1, len(usable))])
         return usable[:count]
 
-    def _walk(self) -> npt.NDArray[np.int64] | None:
+    def _walk(
+        self,
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], bool] | None:
         """Every group's ring walk at once: :meth:`_select_cores` per group.
 
         Each group hands out, in ring order from the pointer, the first
         ``kv_heads`` columns whose unit has not failed and holds more than
         the threshold free blocks, and pads with the first of them when fewer
         are usable.  Returns the column of each KV head -- one row per group,
-        or a flat row while there is one group -- and None when some group
-        has no usable column.
+        or a flat row while there is one group -- the unit behind each, and
+        whether no unit repeats (no group was padded, and the groups share no
+        core); None when some group has no usable column.
         """
-        width = self._ring_width
-        pointer = self._ring_pointer
         heads = len(self._head_range)
         table = self._group_units
         if len(table) == 1:
+            # The one group's units are the ring columns themselves.
             found = self._usable_columns()
             if len(found) >= heads:
-                return found[:heads]
+                columns = found[:heads]
+                return columns, columns, True
             if not len(found):
                 return None
-            return np.concatenate([found, np.repeat(found[:1], heads - len(found))])
-        usable = self._free[table] > self._threshold_blocks
+            columns = np.concatenate([found, np.repeat(found[:1], heads - len(found))])
+            return columns, columns, False
+        # Step j of a group: the unit j columns round the ring from the
+        # pointer.  A usable step's rank is its 1-based position among the
+        # group's usable steps, so the first kv_heads have rank <= kv_heads.
+        pointer = self._ring_pointer
+        units = table[:, self._ring_doubled[pointer:pointer + self._ring_width]]
+        usable = self._free > self._threshold_blocks
         if self._failed_cores:
-            usable &= ~self._unit_failed[table]
-        # Column j: whether the column j steps round the ring from the
-        # pointer is usable.
-        in_order = np.concatenate([usable[:, pointer:], usable[:, :pointer]], axis=1)
-        found = in_order.sum(axis=1)
-        if not found.all():
-            return None
-        # A stable sort moves the usable steps to the front, in ring order;
-        # heads beyond a group's usable columns reuse its first one.
-        steps = np.argsort(~in_order, axis=1, kind="stable")[:, :heads]
-        if width < heads:
-            steps = np.concatenate(
-                [steps, np.repeat(steps[:, :1], heads - width, axis=1)], axis=1
-            )
-        steps = np.where(self._head_range < found[:, None], steps, steps[:, :1])
-        steps += pointer
-        steps %= width
-        return steps
+            usable &= ~self._unit_failed
+        picked = usable[units]
+        rank = picked.cumsum(axis=1)
+        picked &= rank <= heads
+        taken = units[picked]  # group by group, in ring order
+        distinct = len(taken) == len(table) * heads
+        if distinct:
+            taken = taken.reshape(-1, heads)
+        else:
+            # Some group has fewer than kv_heads usable steps: its heads
+            # beyond them reuse its first one.
+            counts = np.minimum(rank[:, -1], heads)
+            if not counts.all():
+                return None
+            first = np.cumsum(counts) - counts
+            groups = np.repeat(np.arange(len(table)), counts)
+            padded = np.repeat(taken[first], heads).reshape(-1, heads)
+            padded[groups, np.arange(len(taken)) - first[groups]] = taken
+            taken = padded
+        return taken - table[:, :1], taken, distinct and self._rows_share_groups()
 
     def _usable_columns(self) -> npt.NDArray[np.int64]:
         """The one group's usable ring columns, in ring order from the
@@ -485,18 +498,18 @@ class DistributedKVCacheManager:
             if walked is None:
                 self.stats.failed_admissions += 1
                 return False
-            columns = walked
-            if columns.ndim == 1:
-                units, unit_counts = _slot_counts(columns, self._ring_width)
+            columns, taken, distinct = walked
+            if distinct:
+                # One slot per unit, which the walk's threshold test already
+                # fits, as on the one-group path.
+                units, slots = np.sort(taken, axis=None), 1
+                unit_counts = np.ones(len(units), dtype=np.int64)
             else:
-                units, unit_counts = _slot_counts(
-                    np.take_along_axis(self._group_units, columns, axis=1),
-                    len(self._free),
-                )
-            if (self._free[units] < unit_counts).any():
-                self.stats.failed_admissions += 1
-                return False
-            slots = 0  # derived from the counts
+                units, unit_counts = _slot_counts(taken, len(self._free))
+                if (self._free[units] < unit_counts).any():
+                    self.stats.failed_admissions += 1
+                    return False
+                slots = 0  # derived from the counts
         allocation = _SequenceAllocation(
             sequence_id=sequence_id,
             units=units,

@@ -174,11 +174,7 @@ class BlockMapper:
 
         index_of = self.problem.tile_indices()
         adjacency = self.problem.tile_adjacency()
-        geometry = wafer.geometry()
-        rows = geometry.rows.tolist()
-        cols = geometry.cols.tolist()
-        die_rows = geometry.die_rows.tolist()
-        die_cols = geometry.die_cols.tolist()
+        rows, cols, die_rows, die_cols = wafer.geometry().coordinates
         factor = self.problem.inter_die_cost_factor
 
         def wdist(a: int, b: int) -> float:

@@ -15,10 +15,12 @@ bitwise batch-parity headline), the full headline comparison grid, a
 mapping-annealer microbenchmark, and a streaming-scale serve (the trace pulled
 lazily from a request stream, with a simulated-requests-per-wall-clock-second
 headline and a peak-RSS bound) -- and writes the measurements to a JSON file
-(``BENCH_PR20.json`` by default).  Each later report gets its own numbered file, so the
+(``BENCH_PR21.json`` by default).  Each later report gets its own numbered file, so the
 repository carries its performance trajectory alongside the code;
 ``scripts/check_bench_regression.py`` gates CI on the deterministic headline
-metrics staying bit-for-bit on trajectory.
+metrics staying bit-for-bit on trajectory.  A fixed calibration kernel is
+timed just before and after every stage (``meta.host_slowdown``), so stage
+times of two reports can also be compared with the host's speed divided out.
 
 Runs are described as :class:`repro.api.DeploymentSpec` objects and built
 through the system registry.  The harness measures *cold* numbers: every
@@ -33,8 +35,37 @@ import json
 import platform
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+
+#: loop iterations of one host-speed sample
+CALIBRATION_ITERATIONS = 4_000
+#: about the seconds one sample takes on an uncontended host (2-core x86-64
+#: VM, Python 3.11, NumPy 2.4); a stage's slowdown is its samples over this
+NOMINAL_CALIBRATION_S = 0.002
+
+
+def calibration_kernel() -> float:
+    """Seconds a fixed mix of dict, int and small-array work takes now.
+
+    The mix resembles the simulator's own (Python bookkeeping around small
+    NumPy calls), so a host slowed by its neighbours slows both by a similar
+    factor.  The same mix as the repository benchmark's (``simbench``).
+    """
+    import numpy as np
+
+    counts: dict[int, int] = {}
+    array = np.arange(64, dtype=np.int64)
+    total = 0
+    start = time.perf_counter()
+    for i in range(CALIBRATION_ITERATIONS):
+        key = i & 1023
+        counts[key] = counts.get(key, 0) + i
+        if i % 8 == 0:
+            total += int(np.minimum(array, i & 63).sum())
+    return time.perf_counter() - start
 
 
 @dataclass
@@ -53,6 +84,23 @@ class BenchReport:
     @property
     def total_s(self) -> float:
         return sum(self.timings_s.values())
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time the ``with`` body as stage ``name``.
+
+        The calibration kernel runs just before and just after the timed
+        body, and ``meta["host_slowdown"][name]`` records the mean of the
+        two samples over the nominal one (>1: a slower host), so two
+        reports' stage times can also be compared host-normalised.
+        """
+        before = calibration_kernel()
+        start = time.perf_counter()
+        yield
+        self.timings_s[name] = time.perf_counter() - start
+        after = calibration_kernel()
+        slowdowns = self.meta.setdefault("host_slowdown", {})
+        slowdowns[name] = (before + after) / (2 * NOMINAL_CALIBRATION_S)
 
     def as_dict(self) -> dict:
         payload = asdict(self)
@@ -119,10 +167,9 @@ def run_bench(
     # `cache=False` keeps the numbers cold (no api build memoisation).
     for model in models:
         spec = settings.deployment(model, PAPER_WORKLOAD_ORDER[0])
-        start = time.perf_counter()
-        system = api.build_deployment(spec, cache=False)
-        system.built
-        report.timings_s[f"build.{model}"] = time.perf_counter() - start
+        with report.stage(f"build.{model}"):
+            system = api.build_deployment(spec, cache=False)
+            system.built
 
     # Stage 2: serving each paper workload on the first model.
     system = api.build_deployment(
@@ -132,9 +179,8 @@ def run_bench(
     first_batch_result = None
     for workload in PAPER_WORKLOAD_ORDER:
         trace = api.trace_for(settings.deployment(models[0], workload))
-        start = time.perf_counter()
-        result = system.serve(trace, workload_name=workload)
-        report.timings_s[f"serve.{models[0]}.{workload}"] = time.perf_counter() - start
+        with report.stage(f"serve.{models[0]}.{workload}"):
+            result = system.serve(trace, workload_name=workload)
         if first_batch_result is None:
             first_batch_result = result
 
@@ -144,11 +190,8 @@ def run_bench(
     rate = num_requests / first_batch_result.total_time_s
     open_loop_settings = replace(settings, arrival_rate_per_s=rate)
     trace = api.trace_for(open_loop_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    open_result = system.serve(trace, workload_name=workload)
-    report.timings_s[f"serve_open_loop.{models[0]}.{workload}"] = (
-        time.perf_counter() - start
-    )
+    with report.stage(f"serve_open_loop.{models[0]}.{workload}"):
+        open_result = system.serve(trace, workload_name=workload)
     report.meta["open_loop_arrival_rate_per_s"] = rate
     report.headline["open_loop_ttft_p95_s"] = open_result.ttft.p95_s
     report.headline["open_loop_latency_p99_s"] = open_result.latency.p99_s
@@ -178,11 +221,8 @@ def run_bench(
         ),
     )
     trace = api.trace_for(slo_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    slo_result = system.serve(trace, workload_name="multi-tenant-slo")
-    report.timings_s[f"serve_slo_multi_tenant.{models[0]}"] = (
-        time.perf_counter() - start
-    )
+    with report.stage(f"serve_slo_multi_tenant.{models[0]}"):
+        slo_result = system.serve(trace, workload_name="multi-tenant-slo")
     report.headline["slo_goodput"] = float(slo_result.goodput or 0.0)
     for name, stats in slo_result.tenants.items():
         report.headline[f"slo_goodput_{name}"] = float(stats.goodput or 0.0)
@@ -200,9 +240,8 @@ def run_bench(
     )
     wfq_system.built
     trace = api.trace_for(wfq_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    wfq_result = wfq_system.serve(trace, workload_name="multi-tenant-slo-wfq")
-    report.timings_s[f"serve_slo_wfq.{models[0]}"] = time.perf_counter() - start
+    with report.stage(f"serve_slo_wfq.{models[0]}"):
+        wfq_result = wfq_system.serve(trace, workload_name="multi-tenant-slo-wfq")
     report.headline["slo_wfq_goodput"] = float(wfq_result.goodput or 0.0)
     report.headline["slo_wfq_interactive_ttft_p95_s"] = (
         wfq_result.tenants["interactive"].ttft.p95_s
@@ -236,11 +275,10 @@ def run_bench(
         stall_duration_s=0.5 * fault_slo.ttft_s,
     )
     trace = api.trace_for(fault_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    no_shed_result = system.serve(
-        trace, workload_name="fault-recovery", fault_plan=fault_plan
-    )
-    report.timings_s[f"serve_faults.{models[0]}"] = time.perf_counter() - start
+    with report.stage(f"serve_faults.{models[0]}"):
+        no_shed_result = system.serve(
+            trace, workload_name="fault-recovery", fault_plan=fault_plan
+        )
 
     shed_settings = replace(
         fault_settings,
@@ -252,11 +290,10 @@ def run_bench(
     )
     shed_system.built
     trace = api.trace_for(shed_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    shed_result = shed_system.serve(
-        trace, workload_name="fault-recovery-shed", fault_plan=fault_plan
-    )
-    report.timings_s[f"serve_faults_shed.{models[0]}"] = time.perf_counter() - start
+    with report.stage(f"serve_faults_shed.{models[0]}"):
+        shed_result = shed_system.serve(
+            trace, workload_name="fault-recovery-shed", fault_plan=fault_plan
+        )
     fault_stats = shed_result.faults
     report.headline["fault_goodput_no_shed"] = float(no_shed_result.goodput or 0.0)
     report.headline["fault_goodput_shed"] = float(shed_result.goodput or 0.0)
@@ -278,11 +315,8 @@ def run_bench(
     from ..serving import serve_via_daemon
 
     daemon_spec = open_loop_settings.deployment(models[0], workload)
-    start = time.perf_counter()
-    daemon_result = serve_via_daemon(daemon_spec)
-    report.timings_s[f"serve_daemon_replay.{models[0]}.{workload}"] = (
-        time.perf_counter() - start
-    )
+    with report.stage(f"serve_daemon_replay.{models[0]}.{workload}"):
+        daemon_result = serve_via_daemon(daemon_spec)
     daemon_matches = (
         daemon_result["total_time_s"] == open_result.total_time_s
         and daemon_result["total_tokens"] == open_result.total_tokens
@@ -326,13 +360,10 @@ def run_bench(
         preempt_system.built
         trace = api.trace_for(preempt_settings.deployment(models[0], workload))
         suffix = "on" if preemptive else "off"
-        start = time.perf_counter()
-        preempt_results[preemptive] = preempt_system.serve(
-            trace, workload_name=f"preempt-{suffix}"
-        )
-        report.timings_s[f"serve_preempt_{suffix}.{models[0]}"] = (
-            time.perf_counter() - start
-        )
+        with report.stage(f"serve_preempt_{suffix}.{models[0]}"):
+            preempt_results[preemptive] = preempt_system.serve(
+                trace, workload_name=f"preempt-{suffix}"
+            )
     preempt_off, preempt_on = preempt_results[False], preempt_results[True]
     report.headline["preempt_off_interactive_ttft_p95_s"] = (
         preempt_off.tenants["interactive"].ttft.p95_s
@@ -350,9 +381,8 @@ def run_bench(
     )
 
     # Stage 3: the full headline grid (models x workloads x all systems).
-    start = time.perf_counter()
-    result = headline.run(settings, models=models)
-    report.timings_s["headline_grid"] = time.perf_counter() - start
+    with report.stage("headline_grid"):
+        result = headline.run(settings, models=models)
     report.headline.update({
         "average_speedup": result.average_speedup,
         "peak_speedup": result.peak_speedup,
@@ -363,9 +393,8 @@ def run_bench(
     # Stage 4: mapping-annealer microbenchmark (incremental delta evaluation).
     arch = api.resolve_model(models[0])
     wafer = Wafer(settings.system_config().wafer)
-    start = time.perf_counter()
-    map_model(arch, wafer, anneal_iterations=anneal_iterations)
-    report.timings_s[f"mapping_anneal_{anneal_iterations}"] = time.perf_counter() - start
+    with report.stage(f"mapping_anneal_{anneal_iterations}"):
+        map_model(arch, wafer, anneal_iterations=anneal_iterations)
 
     # Stage 5: streaming-scale serving -- the requests-per-second headline.
     # An open-loop single-tenant run at the stage-2b saturation rate, but with
@@ -381,10 +410,10 @@ def run_bench(
         stream_requests = int(os.environ.get("REPRO_BENCH_STREAM_REQUESTS", "20000"))
     stream_settings = replace(open_loop_settings, num_requests=stream_requests)
     stream_trace = api.stream_for(stream_settings.deployment(models[0], workload))
-    start = time.perf_counter()
-    stream_result = system.serve(stream_trace, workload_name="stream-scale")
-    stream_elapsed = time.perf_counter() - start
-    report.timings_s[f"serve_stream.{models[0]}.{workload}"] = stream_elapsed
+    stream_stage = f"serve_stream.{models[0]}.{workload}"
+    with report.stage(stream_stage):
+        stream_result = system.serve(stream_trace, workload_name="stream-scale")
+    stream_elapsed = report.timings_s[stream_stage]
     report.meta["stream_requests"] = stream_requests
     report.meta["stream_arrival_rate_per_s"] = rate
     report.headline["stream_requests_per_s"] = stream_requests / stream_elapsed

@@ -10,11 +10,43 @@ stats incrementally so the engines never hold per-sequence sample lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # import cycle guard: workload.requests is engine-side
+    import numpy as np
+    import numpy.typing as npt
+
     from .workload.requests import Sequence, SLOTarget
+
+
+def _percentile(ordered: npt.NDArray[np.float64], percent: float) -> float:
+    """``np.percentile(values, percent)`` of the sorted ``values``, bit for bit.
+
+    NumPy's default "linear" rule, step for step as NumPy 2.x computes it:
+    the virtual index ``(n - 1) * q``, the two samples round it, and
+    ``_lerp``'s two-sided interpolation.  ``np.percentile`` itself imports
+    ``numpy.ma`` on its first call (through ``np.unique``), which costs a
+    process's first serve about 11 ms.
+    """
+    last = len(ordered) - 1
+    if math.isnan(ordered[last]):
+        return float(ordered[last])  # NumPy sorts NaN last and returns it
+    virtual = last * (percent / 100)
+    if virtual >= last:
+        # Both neighbours clamp to the last sample; the weight keeps its
+        # distance from index -1.
+        below = above = float(ordered[last])
+        weight = virtual + 1
+    else:
+        index = math.floor(virtual)
+        below, above = float(ordered[index]), float(ordered[index + 1])
+        weight = virtual - index
+    difference = above - below
+    if weight >= 0.5:
+        return above - difference * (1 - weight)
+    return below + difference * weight
 
 
 @dataclass
@@ -40,13 +72,13 @@ class LatencyStats:
         import numpy as np
 
         values = np.asarray(samples, dtype=np.float64)
-        p50, p95, p99 = np.percentile(values, (50.0, 95.0, 99.0))
+        ordered = np.sort(values)
         return cls(
             count=len(samples),
             mean_s=float(values.mean()),
-            p50_s=float(p50),
-            p95_s=float(p95),
-            p99_s=float(p99),
+            p50_s=_percentile(ordered, 50.0),
+            p95_s=_percentile(ordered, 95.0),
+            p99_s=_percentile(ordered, 99.0),
             max_s=float(values.max()),
         )
 
@@ -351,7 +383,7 @@ class P2Quantile:
         if len(self._q) < 5:
             import numpy as np
 
-            return float(np.percentile(self._q, self.p * 100.0))
+            return _percentile(np.sort(self._q), self.p * 100.0)
         return self._q[2]
 
     def state(self) -> dict[str, Any]:

@@ -39,8 +39,10 @@ of its own tenant's queue.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
@@ -70,7 +72,7 @@ class SchedulingPolicy(Protocol):
         ...
 
     def select(
-        self, time: float, exclude: frozenset[int] = frozenset()
+        self, time: float, exclude: AbstractSet[int] = frozenset()
     ) -> "Sequence | None":
         """The admission candidate at ``time`` (None: nothing has arrived).
 
@@ -81,7 +83,8 @@ class SchedulingPolicy(Protocol):
         head gates everything, the historical behaviour), while the
         tenant-aware policies skip excluded heads and propose another
         tenant's — a capacity-blocked 4k-token batch request must not block
-        an interactive request that would fit.
+        an interactive request that would fit.  The set is read only, and
+        the scheduler keeps adding to it, so a policy must not hold on to it.
         """
         ...
 
@@ -104,6 +107,9 @@ class SchedulingPolicy(Protocol):
         is arrival order and a resident sequence always arrived earlier).
         Selection must be side-effect-free; the scheduler performs the
         eviction and re-queues the victim tenant/priority-preserved.
+        ``active`` holds sequences that passed through the policy's queue
+        (pushed or restored), which lets a policy decline at once when no
+        sequence it ever held ranks below the candidate.
         """
         ...
 
@@ -185,7 +191,7 @@ class FCFSPolicy:
         self._queue.appendleft(sequence)
 
     def select(
-        self, time: float, exclude: frozenset[int] = frozenset()
+        self, time: float, exclude: AbstractSet[int] = frozenset()
     ) -> "Sequence | None":
         if not self._queue:
             return None
@@ -268,6 +274,14 @@ class _TenantQueuedPolicy:
         #: per-tenant FIFO queues, in first-seen tenant order (deterministic)
         self._queues: dict[str, deque[Sequence]] = {}
         self._size = 0
+        #: the lowest :meth:`_rank` of any sequence ever queued or restored
+        self._lowest_rank = math.inf
+
+    @staticmethod
+    def _rank(sequence: "Sequence") -> float:
+        """A sequence's preemption rank: a victim must rank strictly below
+        the candidate it makes room for."""
+        raise NotImplementedError
 
     def _queue_for(self, tenant: str) -> "deque[Sequence]":
         queue = self._queues.get(tenant)
@@ -278,10 +292,16 @@ class _TenantQueuedPolicy:
     def push(self, sequence: "Sequence") -> None:
         self._queue_for(sequence.request.tenant).append(sequence)
         self._size += 1
+        rank = self._rank(sequence)
+        if rank < self._lowest_rank:
+            self._lowest_rank = rank
 
     def push_front(self, sequence: "Sequence") -> None:
         self._queue_for(sequence.request.tenant).appendleft(sequence)
         self._size += 1
+        rank = self._rank(sequence)
+        if rank < self._lowest_rank:
+            self._lowest_rank = rank
 
     def pop(self, sequence: "Sequence", time: float) -> None:
         queue = self._queues.get(sequence.request.tenant)
@@ -300,7 +320,7 @@ class _TenantQueuedPolicy:
     def _select_best(
         self,
         time: float,
-        exclude: frozenset[int],
+        exclude: AbstractSet[int],
         key: Callable[[str, "Sequence"], Any],
     ) -> "Sequence | None":
         """Arrived, non-excluded tenant head minimising ``key(tenant, head)``.
@@ -323,9 +343,17 @@ class _TenantQueuedPolicy:
     def select_victim(
         self, candidate: "Sequence", active: list["Sequence"]
     ) -> "Sequence | None":
-        # Tenant-aware default: decline (wfq/priority override with their
-        # own strict-rank comparisons).
-        return None
+        """The resident :meth:`_lowest_ranked` picks below the candidate's
+        :meth:`_rank`.
+
+        Every resident passed through the queue, so when the candidate
+        ranks at or below every sequence the policy ever queued or
+        restored, none ranks strictly below it: decline without the scan.
+        """
+        threshold = self._rank(candidate)
+        if threshold <= self._lowest_rank:
+            return None
+        return self._lowest_ranked(active, self._rank, threshold)
 
     def _lowest_ranked(
         self,
@@ -421,6 +449,9 @@ class _TenantQueuedPolicy:
             for tenant, ids in state["queues"]
         }
         self._size = sum(len(queue) for queue in self._queues.values())
+        # ``by_id`` holds every sequence the resumed run tracks, the
+        # residents among them.
+        self._lowest_rank = min(map(self._rank, by_id.values()), default=math.inf)
 
     def __len__(self) -> int:
         return self._size
@@ -458,7 +489,7 @@ class WFQPolicy(_TenantQueuedPolicy):
         return max(self._vtime, self._finish.get(tenant, 0.0))
 
     def select(
-        self, time: float, exclude: frozenset[int] = frozenset()
+        self, time: float, exclude: AbstractSet[int] = frozenset()
     ) -> "Sequence | None":
         return self._select_best(
             time,
@@ -478,21 +509,17 @@ class WFQPolicy(_TenantQueuedPolicy):
         self._vtime = start
         super().pop(sequence, time)
 
-    def select_victim(
-        self, candidate: "Sequence", active: list["Sequence"]
-    ) -> "Sequence | None":
-        """Displace the lightest-weight resident strictly below the candidate.
+    @staticmethod
+    def _rank(sequence: "Sequence") -> float:
+        """Tenant weight: a preemption displaces the lightest-weight resident
+        strictly below the candidate.
 
         Weight is wfq's notion of rank (a tenant's service share), so a
         heavier tenant's arrival may reclaim blocks from the lightest
         resident tenant; equal weights never preempt, which keeps the
         preemption relation a strict order.
         """
-        return self._lowest_ranked(
-            active,
-            lambda sequence: sequence.request.weight,
-            candidate.request.weight,
-        )
+        return sequence.request.weight
 
     def snapshot_state(self) -> dict[str, Any]:
         state = super().snapshot_state()
@@ -530,7 +557,7 @@ class PriorityAgingPolicy(_TenantQueuedPolicy):
         self.aging_rate = aging_rate
 
     def select(
-        self, time: float, exclude: frozenset[int] = frozenset()
+        self, time: float, exclude: AbstractSet[int] = frozenset()
     ) -> "Sequence | None":
         def key(tenant: str, head: "Sequence") -> tuple[float, float, int]:
             arrival = head.request.arrival_time
@@ -539,20 +566,16 @@ class PriorityAgingPolicy(_TenantQueuedPolicy):
 
         return self._select_best(time, exclude, key)
 
-    def select_victim(
-        self, candidate: "Sequence", active: list["Sequence"]
-    ) -> "Sequence | None":
-        """Displace the lowest-static-priority resident below the candidate.
+    @staticmethod
+    def _rank(sequence: "Sequence") -> float:
+        """Static priority: a preemption displaces the lowest-priority
+        resident strictly below the candidate.
 
         Static priorities only: aging rewards *waiting*, and a resident
         sequence is being served, not waiting — so a low-priority sequence
         can never age itself into preemption immunity.
         """
-        return self._lowest_ranked(
-            active,
-            lambda sequence: float(sequence.request.priority),
-            float(candidate.request.priority),
-        )
+        return float(sequence.request.priority)
 
 
 #: registry key -> factory; the single source of valid policy names

@@ -28,6 +28,7 @@ here, while the policy object owns which waiting sequence goes next.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
@@ -156,6 +157,11 @@ class InterSequenceScheduler:
         #: observer invoked on every permanent shed (the engines' streaming
         #: stats accumulator; fires in both retention modes)
         self.on_shed: Callable[[Sequence], None] | None = None
+        #: per tenant, a lower bound on the arrival of every queued
+        #: never-admitted (``WAITING``) sequence: lowered on submit, made
+        #: exact by each deadline scan and on restore.  While no tenant's
+        #: bound fails the deadline test, neither can any of its sequences.
+        self._oldest_waiting: dict[str, float] = {}
 
     # ------------------------------------------------------------------ stream
 
@@ -199,6 +205,9 @@ class InterSequenceScheduler:
         """Queue a new request (admission order chosen by the policy)."""
         sequence = Sequence(request=request)
         self.policy.push(sequence)
+        oldest = self._oldest_waiting
+        if request.arrival_time < oldest.get(request.tenant, math.inf):
+            oldest[request.tenant] = request.arrival_time
         return sequence
 
     def submit_all(self, requests: list[Request]) -> list[Sequence]:
@@ -369,7 +378,7 @@ class InterSequenceScheduler:
             )
             if at_cap and not self.preemptive:
                 break
-            candidate = self.policy.select(time, exclude=frozenset(blocked))
+            candidate = self.policy.select(time, exclude=blocked)
             if candidate is None:
                 break
             if at_cap:
@@ -437,13 +446,18 @@ class InterSequenceScheduler:
         """
         if not (self.shed_deadline or self.max_queue_depth is not None):
             return
-        if self.shed_deadline and self.slo_lookup is not None:
+        slo_lookup = self.slo_lookup
+        if (
+            self.shed_deadline
+            and slo_lookup is not None
+            and self._deadline_due(time, slo_lookup)
+        ):
             for sequence in self.policy.waiting():
                 if sequence.phase is not SequencePhase.WAITING:
                     continue
                 if sequence.eligible_time > time:
                     continue
-                slo = self.slo_lookup(sequence.tenant)
+                slo = slo_lookup(sequence.tenant)
                 ttft_s = getattr(slo, "ttft_s", None)
                 if ttft_s is None:
                     continue
@@ -453,6 +467,7 @@ class InterSequenceScheduler:
                     # drop the request now instead of burning wafer time on a
                     # guaranteed SLO miss.
                     self._shed_permanently(sequence)
+            self._oldest_waiting = _oldest_arrivals(self.policy.waiting())
         if self.max_queue_depth is not None:
             eligible = [
                 sequence
@@ -464,6 +479,20 @@ class InterSequenceScheduler:
                 eligible.sort(key=lambda s: (s.request.arrival_time, s.sequence_id))
                 for sequence in eligible[self.max_queue_depth :]:
                     self._shed_or_backoff(sequence, time)
+
+    def _deadline_due(self, time: float, slo_lookup: Callable[[str], object]) -> bool:
+        """Whether the deadline scan can shed anything at ``time``: some
+        tenant's oldest waiting arrival fails the scan's own test.
+
+        Float subtraction is monotone, so a later arrival of the tenant
+        leaves no more elapsed time than the bound does and cannot fail the
+        test while the bound passes it.
+        """
+        for tenant, arrival in self._oldest_waiting.items():
+            ttft_s = getattr(slo_lookup(tenant), "ttft_s", None)
+            if ttft_s is not None and time - arrival > ttft_s - self.shed_headroom_s:
+                return True
+        return False
 
     def _shed_permanently(self, sequence: Sequence) -> None:
         if self.policy.remove(sequence):
@@ -682,3 +711,15 @@ class InterSequenceScheduler:
         self.admission_stall_until = state["admission_stall_until"]
         self.stats = SchedulerStats(**state["stats"])
         self.policy.restore_state(state["policy"], by_id)
+        self._oldest_waiting = _oldest_arrivals(self.policy.waiting())
+
+
+def _oldest_arrivals(sequences: list[Sequence]) -> dict[str, float]:
+    """Per tenant, the earliest arrival among never-admitted sequences."""
+    oldest: dict[str, float] = {}
+    for sequence in sequences:
+        if sequence.phase is SequencePhase.WAITING:
+            arrival = sequence.request.arrival_time
+            if arrival < oldest.get(sequence.tenant, math.inf):
+                oldest[sequence.tenant] = arrival
+    return oldest

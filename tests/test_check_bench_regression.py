@@ -243,6 +243,26 @@ class TestStageDeltas:
     def test_reports_without_stages_print_nothing(self, gate):
         assert gate.stage_deltas(report(), report()) == []
 
+    def test_host_normalised_change_beside_the_raw_one(self, gate):
+        """Both reports sampled the host: the change divides each side's
+        seconds by its slowdown.  A stage either report did not sample, or
+        a report from before the samples, prints the raw change alone."""
+        fresh = report()
+        fresh["timings_s"] = {"serve.x": 0.6, "build.y": 0.3, "grid": 1.0}
+        fresh["meta"] = {"host_slowdown": {"serve.x": 1.5, "grid": 1.0}}
+        baseline = report()
+        baseline["timings_s"] = {"serve.x": 0.5, "build.y": 0.3, "grid": 1.0}
+        baseline["meta"] = {"host_slowdown": {"serve.x": 1.0, "build.y": 1.2}}
+        assert gate.stage_deltas(fresh, baseline) == [
+            "build.y: 0.3000 s -> 0.3000 s (+0.0%)",
+            "grid: 1.0000 s -> 1.0000 s (+0.0%)",
+            "serve.x: 0.5000 s -> 0.6000 s (+20.0%; host-normalised -20.0%)",
+        ]
+        del baseline["meta"]
+        assert gate.stage_deltas(fresh, baseline)[-1] == (
+            "serve.x: 0.5000 s -> 0.6000 s (+20.0%)"
+        )
+
     def test_main_prints_deltas_and_never_gates_on_them(self, gate, tmp_path, capsys):
         fresh = report({"average_speedup": 1.5})
         fresh["timings_s"] = {"build.llama-13b": 5.0}

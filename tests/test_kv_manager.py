@@ -1,6 +1,7 @@
 """Tests for the distributed dynamic KV-cache manager and its static baseline."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -265,10 +266,10 @@ class TestRingSelectionEquivalence:
     @staticmethod
     def _selection(manager):
         """The cores the next admission takes, one row per (block, K/V)."""
-        columns = manager._walk()
-        if columns is None:
+        walked = manager._walk()
+        if walked is None:
             return None
-        rows = np.atleast_2d(columns)[manager._row_group]
+        rows = np.atleast_2d(walked[0])[manager._row_group]
         return np.take_along_axis(manager._ring_matrix, rows, axis=1)
 
     def test_fast_selection_matches_walk_when_heads_exceed_group(self, tiny_arch):
@@ -360,6 +361,7 @@ class TestRingSelectionEquivalence:
             walked = manager._walk()
             if walked is None:
                 break
+            walked = walked[0]
             distinct.append(len(manager._usable_columns()) >= heads)
             units, counts = _slot_counts(walked, manager._ring_width)
             sequence = make_sequence(admitted)
@@ -1033,3 +1035,129 @@ class TestBatchGrowthDifferential:
                 sequence, count
             )
             position += 1
+
+
+@st.composite
+def walk_scenarios(draw):
+    """A layout (KV heads, ring rows, cores), block budget and threshold,
+    plus operations that fail cores in several rows and starve the ring
+    columns unevenly; each operation carries two numbers that pick its
+    sequence, core or growth."""
+    config = {
+        "kv_heads": draw(st.sampled_from([1, 2, 4])),
+        "num_blocks": draw(st.sampled_from([2, 3])),
+        # 3 cores (and 5 under six rows): fewer cores than ring rows, one
+        # group per row; the others give rings narrower than, as wide as and
+        # wider than a walk
+        "cores": draw(st.sampled_from([3, 5, 8, 12, 16, 24, 42])),
+        "blocks_per_core": draw(st.sampled_from([4, 8, 16])),
+        "threshold": draw(st.sampled_from([0.0, 0.25, 0.5])),
+    }
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(("admit", "admit", "admit", "grow", "release", "fail")),
+            st.integers(0, 1000),
+            st.integers(0, 6),
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    return config, ops
+
+
+class TestGroupWalkDifferential:
+    """Admission over any number of ring-row groups against the per-row
+    reference walk and against per-core accounting.
+
+    Before each admission the walk of every group equals ``_select_cores``
+    run on each ring row.  The admission then takes exactly those cores: it
+    succeeds when every row found a usable core and every touched core
+    holds its slots, and it records the reference's cores, slots per core
+    and placement.  An allocation holding one slot per core carries one slot
+    per unit.  A manager kept per-core from the start answers and ends
+    identically.
+    """
+
+    @staticmethod
+    def _build(manager_cls, tiny_arch, config):
+        arch = replace(
+            tiny_arch, num_blocks=config["num_blocks"], num_kv_heads=config["kv_heads"]
+        )
+        return manager_cls(
+            arch, kv_core_ids=list(range(100, 100 + config["cores"])),
+            blocks_per_core=config["blocks_per_core"], threshold=config["threshold"],
+        )
+
+    @staticmethod
+    def _reference(manager):
+        """Every ring row's reference cores (None: some row has no usable
+        core), and whether their slots fit."""
+        heads = manager.arch.kv_heads
+        pointer = manager._ring_pointer
+        rows = [
+            manager._select_cores(row, pointer, heads)
+            for row in manager._ring_matrix.tolist()
+        ]
+        if None in rows:
+            return None, False
+        slots = np.bincount(np.ravel(rows), minlength=manager.num_kv_cores)
+        return np.asarray(rows), bool((manager._core_free() >= slots).all())
+
+    @given(scenario=walk_scenarios())
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_walk_and_admission_match_reference(self, tiny_arch, scenario):
+        config, ops = scenario
+        managers = [
+            self._build(cls, tiny_arch, config)
+            for cls in (DistributedKVCacheManager, PerCoreManager)
+        ]
+        manager = managers[0]
+        resident: dict[int, Sequence] = {}
+        for step, (kind, pick, amount) in enumerate(ops):
+            if kind == "admit":
+                rows, fits = self._reference(manager)
+                walked = TestRingSelectionEquivalence._selection(manager)
+                if rows is None:
+                    assert walked is None
+                else:
+                    assert walked.tolist() == rows.tolist()
+                    # No unit repeats exactly when no core takes two slots.
+                    slots = np.bincount(rows.ravel(), minlength=manager.num_kv_cores)
+                    assert manager._walk()[2] == (slots.max() == 1)
+                sequence = make_sequence(step)
+                answers = [m.try_admit(sequence) for m in managers]
+                assert answers == [rows is not None and fits] * 2
+                if answers[0]:
+                    resident[step] = sequence
+                    allocation = manager._allocations[step]
+                    cores, counts = manager._core_units(allocation)
+                    slots = np.bincount(rows.ravel(), minlength=manager.num_kv_cores)
+                    assert cores.tolist() == np.flatnonzero(slots).tolist()
+                    assert counts.tolist() == slots[cores].tolist()
+                    assert manager._placement(allocation).tolist() == (
+                        manager._core_ids_array[rows].tolist()
+                    )
+                    assert allocation.max_slots == counts.max()
+                    assert allocation.slots_per_core == (
+                        counts.max() if counts.min() == counts.max() else 0
+                    )
+                    if counts.max() == 1:
+                        assert set(allocation.unit_counts.tolist()) == {1}
+            elif kind == "grow" and resident:
+                sequence = resident[sorted(resident)[pick % len(resident)]]
+                growth = amount * manager.tokens_per_block + 1
+                answers = [m.append_tokens(sequence, growth) for m in managers]
+                assert answers[0] == answers[1]
+            elif kind == "release" and resident:
+                sequence = resident.pop(sorted(resident)[pick % len(resident)])
+                for m in managers:
+                    m.release(sequence)
+            elif kind == "fail":
+                core = 100 + pick % config["cores"]
+                answers = [m.fail_core(core) for m in managers]
+                assert answers[0] == answers[1]
+            assert manager.snapshot_state() == managers[1].snapshot_state()
+            assert manager.stats.as_dict() == managers[1].stats.as_dict()

@@ -172,6 +172,22 @@ class TestBenchReport:
         assert payload["timings_s"]["build.x"] == 1.5
         assert "unit" in report.format_table()
 
+    def test_stage_records_time_and_host_slowdown(self, tmp_path):
+        """A stage records its seconds and the calibration kernel's mean of
+        the samples taken before and after it, over the nominal sample."""
+        samples = iter([0.003, 0.005])
+        report = BenchReport(label="unit", num_requests=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.perf.bench.calibration_kernel", lambda: next(samples)
+            )
+            with report.stage("serve.x"):
+                pass
+        assert report.timings_s["serve.x"] >= 0.0
+        assert report.meta["host_slowdown"] == {"serve.x": pytest.approx(2.0)}
+        payload = json.loads(report.write(tmp_path / "bench.json").read_text())
+        assert payload["meta"]["host_slowdown"] == {"serve.x": pytest.approx(2.0)}
+
     @pytest.mark.slow
     def test_run_bench_smoke(self, tmp_path):
         from repro.perf import run_bench

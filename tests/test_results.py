@@ -1,8 +1,16 @@
 """Tests for the shared result dataclasses."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.results import EnergyBreakdown, LatencyStats, RunResult
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.results import EXACT_SAMPLE_LIMIT, EnergyBreakdown, LatencyStats, P2Quantile, RunResult
 
 
 class TestLatencyStats:
@@ -32,6 +40,76 @@ class TestLatencyStats:
         assert data["count"] == 3
         assert data["mean_s"] == pytest.approx(2.0)
         assert set(data) == {"count", "mean_s", "p50_s", "p95_s", "p99_s", "max_s"}
+
+
+@st.composite
+def latency_samples(draw):
+    """1 to ``EXACT_SAMPLE_LIMIT`` non-negative samples: many ties (a few
+    distinct values) or spread over many orders of magnitude."""
+    size = draw(st.one_of(st.integers(1, 12), st.integers(1, EXACT_SAMPLE_LIMIT)))
+    if draw(st.booleans()):
+        pool = draw(st.lists(
+            st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=4
+        ))
+        picks = draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=size, max_size=size
+        ))
+        return [pool[pick] for pick in picks]
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-9, 9, size)
+    return (rng.random(size) * scale).tolist()
+
+
+class TestExactPercentiles:
+    """The p50/p95/p99 of an exact accumulator are ``np.percentile``'s, bit
+    for bit, without calling it."""
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    @given(samples=latency_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_from_samples_matches_numpy(self, samples):
+        stats = LatencyStats.from_samples(samples)
+        expected = np.percentile(np.asarray(samples), (50.0, 95.0, 99.0))
+        assert self._bits([stats.p50_s, stats.p95_s, stats.p99_s]) == self._bits(expected)
+
+    @given(
+        samples=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=4),
+        p=st.sampled_from([0.5, 0.95, 0.99, 0.1, 0.37]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_p2_warmup_matches_numpy(self, samples, p):
+        estimator = P2Quantile(p)
+        for sample in samples:
+            estimator.add(sample)
+        expected = np.percentile(np.asarray(samples), p * 100.0)
+        assert self._bits(estimator.value()) == self._bits(expected)
+
+    def test_nan_sample_gives_nan_like_numpy(self):
+        stats = LatencyStats.from_samples([0.5, float("nan"), 0.25])
+        assert np.isnan([stats.p50_s, stats.p95_s, stats.p99_s]).all()
+
+    def test_serve_leaves_numpy_ma_unimported(self):
+        """``np.percentile``'s first call imports ``numpy.ma``, ~11 ms inside
+        a process's first timed serve; the exact path no longer does."""
+        code = (
+            "import sys\n"
+            "from repro import api\n"
+            "spec = api.deployment('llama-13b').workload('wikitext2', 20).build()\n"
+            "result = api.serve(spec)\n"
+            "assert result.ttft.count == 20, result.ttft\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=25, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestEnergyBreakdown:

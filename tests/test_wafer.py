@@ -100,6 +100,24 @@ class TestGeometry:
         for neighbor in small_wafer.neighbors(core):
             assert small_wafer.manhattan(core, neighbor) == 1
 
+    @given(wafer=wafers(max_defects=3))
+    @settings(max_examples=40, deadline=None)
+    def test_geometry_is_shared_read_only_and_exact(self, wafer):
+        """Every wafer of one shape reads one read-only geometry, whatever
+        its defects; its arrays and coordinate tuples are each core's
+        coordinates and die."""
+        geometry = wafer.geometry()
+        assert Wafer(wafer.config).geometry() is geometry
+        arrays = (geometry.rows, geometry.cols, geometry.die_rows, geometry.die_cols)
+        assert not any(array.flags.writeable for array in arrays)
+        assert geometry.coordinates == tuple(tuple(a.tolist()) for a in arrays)
+        rows, cols, die_rows, die_cols = geometry.coordinates
+        for core_id in range(wafer.num_cores):
+            coordinate = wafer.coordinate_of(core_id)
+            die = wafer.die_of(core_id).coordinate
+            assert (rows[core_id], cols[core_id]) == (coordinate.row, coordinate.col)
+            assert (die_rows[core_id], die_cols[core_id]) == (die.row, die.col)
+
 
 class TestSShapedOrder:
     def test_covers_all_cores_once(self, small_wafer):
