@@ -9,13 +9,13 @@
 #   REPRO_BENCH_REQUESTS  requests per workload (default 150; the paper uses 1000)
 #   REPRO_BENCH_STREAM_REQUESTS  requests for the streaming-scale stage
 #                         (default 20000; the headline run uses 1000000)
-#   REPRO_BENCH_OUTPUT    report path (default BENCH_PR21.json)
+#   REPRO_BENCH_OUTPUT    report path (default BENCH_PR22.json)
 #   REPRO_SWEEP_PROCS     process-pool workers for the sweep stages (default: CPU count)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-output="${REPRO_BENCH_OUTPUT:-BENCH_PR21.json}"
+output="${REPRO_BENCH_OUTPUT:-BENCH_PR22.json}"
 python -m repro bench \
     --requests "${REPRO_BENCH_REQUESTS:-150}" \
     --output "$output" \

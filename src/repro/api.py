@@ -317,7 +317,8 @@ class DeploymentSpec:
     config: OuroborosSystemConfig = field(default_factory=default_system_config)
     #: knobs of the analytical baselines (ignored by Ouroboros)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
-    #: per-system structural options (e.g. ``{"num_gpus": 4}`` for dgx-a100)
+    #: per-system structural options (e.g. ``{"num_gpus": 4}`` for dgx-a100);
+    #: values must be hashable, since the build memo keys on them
     options: dict = field(default_factory=dict)
     #: workload name: one of the paper's settings, ``lp<P>_ld<D>``, or
     #: ``wikitext2_ldm<float>`` (decode-heavy WikiText variant)
@@ -774,7 +775,7 @@ def preset(name: str) -> DeploymentSpec:
 #: multi-config sweeps must not accumulate them without limit: they form a
 #: bounded LRU.  The analytical baselines hold none of that and are not
 #: counted, so a grid's baselines never evict the builds it serves on.
-_SYSTEM_CACHE: dict[str, ServingSystem] = {}
+_SYSTEM_CACHE: dict[tuple, ServingSystem] = {}
 #: most memoised systems that hold a built wafer
 _SYSTEM_CACHE_MAX = 16
 #: guards the memo dict: daemon fleets and threaded sweeps build concurrently,
@@ -782,12 +783,24 @@ _SYSTEM_CACHE_MAX = 16
 _SYSTEM_CACHE_LOCK = threading.Lock()
 
 
-def _system_cache_key(spec: DeploymentSpec) -> str:
-    payload = spec.to_dict()
-    for workload_field in ("workload", "workload_label", "num_requests", "seed",
-                           "arrival_rate_per_s", "faults"):
-        payload.pop(workload_field, None)
-    return json.dumps(payload, sort_keys=True)
+def _system_cache_key(spec: DeploymentSpec) -> tuple:
+    """The build memo's key: every spec field but the workload fields and
+    the fault plan, which only the serve reads, as one hashable tuple.
+
+    The configs are frozen dataclasses, so the key compares their field
+    values, as spec equality does (``1`` and ``1.0`` are one value);
+    ``options`` enters as its sorted items.
+    """
+    return (
+        spec.model,
+        spec.system,
+        spec.config,
+        spec.baseline,
+        tuple(sorted(spec.options.items())),
+        spec.tenants,
+        spec.slo,
+        spec.auto_scale_wafers,
+    )
 
 
 def clear_system_cache() -> None:
@@ -866,6 +879,7 @@ def total_spec_requests(spec: DeploymentSpec) -> int:
 def serve(
     spec: DeploymentSpec,
     *,
+    trace: Trace | None = None,
     suspend_at_epoch: int | None = None,
     resume_from: EngineCheckpoint | None = None,
 ) -> RunResult | EngineCheckpoint:
@@ -876,15 +890,20 @@ def serve(
     system, config); every serve generates a fresh trace and pipeline, so
     results are deterministic and independent of call order.
 
+    ``trace`` lets a caller that serves several systems on one workload
+    draw it once: it must be the spec's own requests, ``trace_for(spec)``
+    (serve cannot tell another trace apart and would price that one).
+
     ``spec.faults`` injects runtime faults during the run (Ouroboros only).
     ``suspend_at_epoch`` returns an :class:`EngineCheckpoint` once that epoch
     is reached instead of a result; ``resume_from`` continues a suspended run
     — the combined suspended+resumed run is bitwise identical to an
     uninterrupted ``serve(spec)``.
 
-    Ouroboros-family systems pull their requests from :func:`stream_for` as
-    simulated time advances (O(active) resident memory); the analytical
-    baselines price the whole :func:`trace_for` list at once.
+    Without ``trace``, Ouroboros-family systems pull their requests from
+    :func:`stream_for` as simulated time advances (O(active) resident
+    memory); the analytical baselines price the whole :func:`trace_for` list
+    at once.
     """
     spec.validate()
     system = build_deployment(spec)
@@ -901,7 +920,8 @@ def serve(
             f"{get_system(spec.system).display_name} does not support fault "
             "injection or checkpoint/resume; use an Ouroboros-family system."
         )
-    trace = stream_for(spec) if is_ouroboros else trace_for(spec)
+    if trace is None:
+        trace = stream_for(spec) if is_ouroboros else trace_for(spec)
     result = system.serve(trace, workload_name=spec.label(), **kwargs)
     if isinstance(result, EngineCheckpoint):
         return result

@@ -77,7 +77,7 @@ class BaselineHardware:
 PIM_CHANNEL_TRAFFIC_FRACTION = 0.3
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineConfig:
     """Run-time knobs of a baseline simulation."""
 

@@ -209,17 +209,25 @@ def run_all_systems(
     :class:`ConfigurationError` instead of being swallowed); only *capacity*
     failures while building -- a baseline that cannot deploy the model at all
     -- are omitted, mirroring the missing bars of the paper's figures.
+
+    The cell's specs differ only in ``system``, so the analytical baselines
+    all price one trace, drawn once; Ouroboros pulls its own stream.
     """
     specs = cell_deployments(model, workload, settings, systems=systems)
     for spec in specs:
         spec.validate()
     results: dict[str, RunResult] = {}
+    baseline_trace = None
     for spec in specs:
-        display = get_system(spec.system).display_name
         if spec.system == "ouroboros":
-            display = OUROBOROS_NAME
+            display, trace = OUROBOROS_NAME, None
+        else:
+            display = get_system(spec.system).display_name
+            if baseline_trace is None:
+                baseline_trace = api.trace_for(spec)
+            trace = baseline_trace
         try:
-            results[display] = api.serve(spec)
+            results[display] = api.serve(spec, trace=trace)
         except ConfigurationError:
             continue
     return results

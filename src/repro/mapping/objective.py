@@ -26,6 +26,7 @@ a handful of vectorised numpy operations over cached wafer geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,11 @@ from ..models.architectures import ModelArch
 from ..models.layers import BlockLayer, build_block_layers
 
 
-@dataclass(frozen=True)
-class Tile:
-    """One weight tile: a slice of one layer's weight matrix."""
+class Tile(NamedTuple):
+    """One weight tile: a slice of one layer's weight matrix.
+
+    A named tuple, so the placement dicts hash and compare tiles in C.
+    """
 
     layer_index: int
     input_part: int
