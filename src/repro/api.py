@@ -783,23 +783,28 @@ _SYSTEM_CACHE_MAX = 16
 _SYSTEM_CACHE_LOCK = threading.Lock()
 
 
+#: the spec fields only a serve reads: the workload and the fault plan
+_SERVE_ONLY_FIELDS = frozenset(
+    ("workload", "workload_label", "num_requests", "seed", "arrival_rate_per_s", "faults")
+)
+#: every other spec field describes the build, so a field added to the spec
+#: keys the memo unless it is named above
+_BUILD_FIELDS = tuple(
+    spec_field.name for spec_field in dataclasses.fields(DeploymentSpec)
+    if spec_field.name not in _SERVE_ONLY_FIELDS
+)
+
+
 def _system_cache_key(spec: DeploymentSpec) -> tuple:
-    """The build memo's key: every spec field but the workload fields and
-    the fault plan, which only the serve reads, as one hashable tuple.
+    """The build memo's key: the build fields' values as one hashable tuple.
 
     The configs are frozen dataclasses, so the key compares their field
-    values, as spec equality does (``1`` and ``1.0`` are one value);
-    ``options`` enters as its sorted items.
+    values, as spec equality does (``1`` and ``1.0`` are one value); a dict
+    (``options``) enters as its sorted items.
     """
-    return (
-        spec.model,
-        spec.system,
-        spec.config,
-        spec.baseline,
-        tuple(sorted(spec.options.items())),
-        spec.tenants,
-        spec.slo,
-        spec.auto_scale_wafers,
+    return tuple(
+        tuple(sorted(value.items())) if isinstance(value, dict) else value
+        for value in (getattr(spec, name) for name in _BUILD_FIELDS)
     )
 
 
@@ -879,7 +884,6 @@ def total_spec_requests(spec: DeploymentSpec) -> int:
 def serve(
     spec: DeploymentSpec,
     *,
-    trace: Trace | None = None,
     suspend_at_epoch: int | None = None,
     resume_from: EngineCheckpoint | None = None,
 ) -> RunResult | EngineCheckpoint:
@@ -890,20 +894,15 @@ def serve(
     system, config); every serve generates a fresh trace and pipeline, so
     results are deterministic and independent of call order.
 
-    ``trace`` lets a caller that serves several systems on one workload
-    draw it once: it must be the spec's own requests, ``trace_for(spec)``
-    (serve cannot tell another trace apart and would price that one).
-
     ``spec.faults`` injects runtime faults during the run (Ouroboros only).
     ``suspend_at_epoch`` returns an :class:`EngineCheckpoint` once that epoch
     is reached instead of a result; ``resume_from`` continues a suspended run
     — the combined suspended+resumed run is bitwise identical to an
     uninterrupted ``serve(spec)``.
 
-    Without ``trace``, Ouroboros-family systems pull their requests from
-    :func:`stream_for` as simulated time advances (O(active) resident
-    memory); the analytical baselines price the whole :func:`trace_for` list
-    at once.
+    Ouroboros-family systems pull their requests from :func:`stream_for` as
+    simulated time advances (O(active) resident memory); the analytical
+    baselines price the whole :func:`trace_for` list at once.
     """
     spec.validate()
     system = build_deployment(spec)
@@ -920,8 +919,7 @@ def serve(
             f"{get_system(spec.system).display_name} does not support fault "
             "injection or checkpoint/resume; use an Ouroboros-family system."
         )
-    if trace is None:
-        trace = stream_for(spec) if is_ouroboros else trace_for(spec)
+    trace = stream_for(spec) if is_ouroboros else trace_for(spec)
     result = system.serve(trace, workload_name=spec.label(), **kwargs)
     if isinstance(result, EngineCheckpoint):
         return result

@@ -21,7 +21,7 @@ from ..pipeline.engine import PipelineConfig
 from ..results import RunResult
 from ..sim.engine import OuroborosSystemConfig
 from ..sim.faults import FaultPlan
-from ..workload.generator import TenantSpec
+from ..workload.generator import TenantSpec, Trace
 from ..workload.requests import SLOTarget
 
 #: workloads of the main evaluation figures, in plotting order
@@ -203,33 +203,34 @@ def run_all_systems(
 ) -> dict[str, RunResult]:
     """Run every baseline plus Ouroboros on one (model, workload) cell.
 
-    Every system is constructed and served through the unified
-    :func:`repro.api.serve` entry point.  Specs are validated loudly first
-    (e.g. a nonzero arrival rate with closed-batch baselines raises the typed
-    :class:`ConfigurationError` instead of being swallowed); only *capacity*
-    failures while building -- a baseline that cannot deploy the model at all
-    -- are omitted, mirroring the missing bars of the paper's figures.
-
-    The cell's specs differ only in ``system``, so the analytical baselines
-    all price one trace, drawn once; Ouroboros pulls its own stream.
+    Every system is constructed through the unified API, and each result
+    equals that spec's lone :func:`repro.api.serve`.  The cell's specs differ
+    only in ``system``, so the analytical baselines all price one trace,
+    drawn once; Ouroboros is served by :func:`repro.api.serve` on its own
+    stream.  Specs are validated loudly first (e.g. a nonzero arrival rate
+    with closed-batch baselines raises the typed :class:`ConfigurationError`
+    instead of being swallowed); only *capacity* failures while building --
+    a baseline that cannot deploy the model at all -- are omitted, mirroring
+    the missing bars of the paper's figures.
     """
     specs = cell_deployments(model, workload, settings, systems=systems)
     for spec in specs:
         spec.validate()
     results: dict[str, RunResult] = {}
-    baseline_trace = None
+    baseline_trace: Trace | None = None
     for spec in specs:
-        if spec.system == "ouroboros":
-            display, trace = OUROBOROS_NAME, None
-        else:
-            display = get_system(spec.system).display_name
+        try:
+            if spec.system == "ouroboros":
+                results[OUROBOROS_NAME] = api.serve(spec)
+                continue
+            system = api.build_deployment(spec)
             if baseline_trace is None:
                 baseline_trace = api.trace_for(spec)
-            trace = baseline_trace
-        try:
-            results[display] = api.serve(spec, trace=trace)
+            result = system.serve(baseline_trace, workload_name=spec.label())
         except ConfigurationError:
             continue
+        result.system = get_system(spec.system).display_name
+        results[result.system] = result
     return results
 
 

@@ -144,7 +144,7 @@ class InterSequenceScheduler:
         self._shed: list[Sequence] = []
         #: tenant -> SLOTarget lookup for deadline shedding (set by the
         #: engine from the trace; None disables deadline shedding)
-        self.slo_lookup = None
+        self.slo_lookup: Callable[[str], object] | None = None
         #: admission frozen until this instant (transient fault injection)
         self.admission_stall_until = 0.0
         #: lazy arrival stream the scheduler pulls from as time advances
@@ -162,26 +162,6 @@ class InterSequenceScheduler:
         #: exact by each deadline scan and on restore.  While no tenant's
         #: bound fails the deadline test, neither can any of its sequences.
         self._oldest_waiting: dict[str, float] = {}
-
-    @property
-    def slo_lookup(self) -> Callable[[str], object] | None:
-        return self._slo_lookup
-
-    @slo_lookup.setter
-    def slo_lookup(self, lookup: Callable[[str], object] | None) -> None:
-        self._slo_lookup = lookup
-        #: per tenant, the deadline test's limit ``ttft_s - shed_headroom_s``
-        #: (inf without a TTFT deadline): a run's SLOs are fixed, so each
-        #: tenant's is looked up once
-        self._deadline_limits: dict[str, float] = {}
-
-    def _deadline_limit(self, tenant: str) -> float:
-        limit = self._deadline_limits.get(tenant)
-        if limit is None:
-            ttft_s = getattr(self._slo_lookup(tenant), "ttft_s", None)
-            limit = math.inf if ttft_s is None else ttft_s - self.shed_headroom_s
-            self._deadline_limits[tenant] = limit
-        return limit
 
     # ------------------------------------------------------------------ stream
 
@@ -466,18 +446,22 @@ class InterSequenceScheduler:
         """
         if not (self.shed_deadline or self.max_queue_depth is not None):
             return
+        slo_lookup = self.slo_lookup
         if (
             self.shed_deadline
-            and self._slo_lookup is not None
-            and self._deadline_due(time)
+            and slo_lookup is not None
+            and self._deadline_due(time, slo_lookup)
         ):
             for sequence in self.policy.waiting():
                 if sequence.phase is not SequencePhase.WAITING:
                     continue
                 if sequence.eligible_time > time:
                     continue
-                limit = self._deadline_limit(sequence.tenant)
-                if time - sequence.request.arrival_time > limit:
+                slo = slo_lookup(sequence.tenant)
+                ttft_s = getattr(slo, "ttft_s", None)
+                if ttft_s is None:
+                    continue
+                if time - sequence.request.arrival_time > ttft_s - self.shed_headroom_s:
                     # The remaining TTFT budget is below the service headroom:
                     # even an immediate admission would miss the deadline, so
                     # drop the request now instead of burning wafer time on a
@@ -496,7 +480,7 @@ class InterSequenceScheduler:
                 for sequence in eligible[self.max_queue_depth :]:
                     self._shed_or_backoff(sequence, time)
 
-    def _deadline_due(self, time: float) -> bool:
+    def _deadline_due(self, time: float, slo_lookup: Callable[[str], object]) -> bool:
         """Whether the deadline scan can shed anything at ``time``: some
         tenant's oldest waiting arrival fails the scan's own test.
 
@@ -505,7 +489,8 @@ class InterSequenceScheduler:
         test while the bound passes it.
         """
         for tenant, arrival in self._oldest_waiting.items():
-            if time - arrival > self._deadline_limit(tenant):
+            ttft_s = getattr(slo_lookup(tenant), "ttft_s", None)
+            if ttft_s is not None and time - arrival > ttft_s - self.shed_headroom_s:
                 return True
         return False
 
@@ -727,7 +712,6 @@ class InterSequenceScheduler:
         self.stats = SchedulerStats(**state["stats"])
         self.policy.restore_state(state["policy"], by_id)
         self._oldest_waiting = _oldest_arrivals(self.policy.waiting())
-        self._deadline_limits = {}
 
 
 def _oldest_arrivals(sequences: list[Sequence]) -> dict[str, float]:

@@ -97,13 +97,6 @@ class TestOneTracePerCell:
         if model == "generic-300b":
             assert skipped == ["DGX A100", "TPUv4", "AttAcc"]
 
-    def test_serve_prices_the_trace_it_is_given(self):
-        spec = CELL.deployment("llama-13b", "lp2048_ld128", system="dgx-a100")
-        trace = api.trace_for(spec)
-        assert serve(spec, trace=trace).as_dict() == serve(spec).as_dict()
-        other = api.trace_for(CELL.deployment("llama-13b", "lp128_ld2048"))
-        assert serve(spec, trace=other).as_dict() != serve(spec).as_dict()
-
 
 # ------------------------------------------------------------- build keys
 
@@ -170,9 +163,9 @@ OPTIONS = st.dictionaries(
 )
 
 
-def field_variants(spec: DeploymentSpec):
-    """``(field, new value)`` for one field of ``spec``."""
-    by_field = {
+def field_values(spec: DeploymentSpec) -> dict:
+    """Per spec field, a strategy for a new value of that field of ``spec``."""
+    return {
         "model": st.sampled_from(MODELS),
         "system": st.sampled_from(sorted(api.SYSTEM_REGISTRY)),
         "config": config_variants(spec.config),
@@ -192,6 +185,11 @@ def field_variants(spec: DeploymentSpec):
         "arrival_rate_per_s": st.sampled_from([0.0, 5.0]),
         "faults": st.none() | st.just(FaultPlan.parse("stall@1.0:0:0.25")),
     }
+
+
+def field_variants(spec: DeploymentSpec):
+    """``(field, new value)`` for one field of ``spec``."""
+    by_field = field_values(spec)
     if spec.tenants:
         del by_field["arrival_rate_per_s"]  # the rates live on the tenants
     if spec.arrival_rate_per_s:
@@ -217,6 +215,12 @@ def spec_pairs(draw):
 
 
 class TestBuildKey:
+    def test_every_spec_field_is_varied(self):
+        """A field added to the spec must get a strategy above, so the
+        property below checks whether it splits builds."""
+        spec = DeploymentSpec(model="llama-13b")
+        assert set(field_values(spec)) == {f.name for f in dataclasses.fields(DeploymentSpec)}
+
     @given(pair=spec_pairs())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -17,7 +17,6 @@ phase and retry state -- must match after every operation.
 """
 
 import json
-import math
 from dataclasses import asdict
 
 from hypothesis import given, settings
@@ -35,17 +34,8 @@ TENANTS = ("a", "b", "c")
 class UngatedScheduler(InterSequenceScheduler):
     """The deadline scan on every fill: what the gated scheduler must equal."""
 
-    def _deadline_due(self, time):
+    def _deadline_due(self, time, slo_lookup):
         return True
-
-
-class PerCallLimits(UngatedScheduler):
-    """The deadline test with the tenant's SLO looked up at every use, as
-    the scheduler did before it kept one limit per tenant and run."""
-
-    def _deadline_limit(self, tenant):
-        ttft_s = getattr(self.slo_lookup(tenant), "ttft_s", None)
-        return math.inf if ttft_s is None else ttft_s - self.shed_headroom_s
 
 
 class ScanningWFQ(WFQPolicy):
@@ -227,50 +217,6 @@ def test_gated_deadline_shed_matches_ungated_scan(scenario):
         Side(config, UngatedScheduler, None),
         Side(config, InterSequenceScheduler, None),
     )
-
-
-@given(scenario=overload_scenarios())
-@settings(max_examples=200, deadline=None)
-def test_kept_deadline_limits_match_per_call_lookups(scenario):
-    """Limits kept per tenant shed what SLOs looked up at every test shed,
-    restores included."""
-    config, ops = scenario
-    run_pair(
-        config, ops,
-        Side(config, PerCallLimits, None),
-        Side(config, InterSequenceScheduler, None),
-    )
-
-
-def test_each_tenant_slo_is_looked_up_once_per_run():
-    """One SLO lookup per tenant however many fills test the deadlines;
-    assigning a lookup (a new run's trace) starts the table again."""
-    config = {
-        "policy": "fcfs", "ttft": [0.5, None, 0.1], "weight": [1.0] * 3,
-        "priority": [0] * 3, "capacity": 1, "max_active": None,
-        "preemptive": False, "headroom": 0.02, "depth": None, "retries": 0,
-        "backoff": 0.0,
-    }
-    side = Side(config, InterSequenceScheduler, None)
-    scheduler = side.scheduler
-    slos = {"a": SLOTarget(ttft_s=0.5), "c": SLOTarget(ttft_s=0.1)}
-    lookups = []
-    scheduler.slo_lookup = lambda tenant: lookups.append(tenant) or slos.get(tenant)
-    for step, (tenant, arrival) in enumerate([(1, 0.0), (0, 0.0), (2, 0.0), (1, 0.0)]):
-        side.apply("submit", 0, 0, Request(
-            request_id=step, prefill_length=8, decode_length=4,
-            arrival_time=arrival, tenant=TENANTS[tenant],
-        ), 0.0)
-    for now in (0.0, 0.05, 0.07, 0.09, 0.2, 0.3):
-        scheduler.fill(now)
-    assert side.shed_calls == [2]  # c's request, once 0.09 > 0.1 - 0.02
-    assert sorted(lookups) == ["a", "b", "c"]
-    slos["a"] = SLOTarget(ttft_s=0.25)
-    scheduler.fill(0.35)
-    assert side.shed_calls == [2]  # the run's limits stand
-    scheduler.slo_lookup = slos.get
-    scheduler.fill(0.35)
-    assert side.shed_calls == [2, 1]  # a new lookup: 0.35 > 0.25 - 0.02
 
 
 def test_gate_skips_the_scan_but_not_a_shed(monkeypatch):
