@@ -5,20 +5,54 @@
 # system through the unified DeploymentSpec API, so the report doubles as a
 # smoke test that the serve path has not regressed.
 #
+# The bench runs five times and keeps the run with the median `total_s`:
+# one run's wall clock moves with the host's load by about +-20%, and the
+# committed report's wall clock is the next change's CI gate.  Every run's
+# deterministic keys are identical, so which run is kept changes only the
+# timings.  The kept report records every run's `total_s` under
+# `meta.median_of_runs`.  CI runs this script too, so its wall-clock gate
+# compares the median of five fresh runs with the committed median.
+#
 # Usage: scripts/bench.sh [extra `repro bench` args...]
 #   REPRO_BENCH_REQUESTS  requests per workload (default 150; the paper uses 1000)
 #   REPRO_BENCH_STREAM_REQUESTS  requests for the streaming-scale stage
 #                         (default 20000; the headline run uses 1000000)
-#   REPRO_BENCH_OUTPUT    report path (default BENCH_PR22.json)
+#   REPRO_BENCH_OUTPUT    report path (default BENCH_PR23.json)
 #   REPRO_SWEEP_PROCS     process-pool workers for the sweep stages (default: CPU count)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-output="${REPRO_BENCH_OUTPUT:-BENCH_PR22.json}"
-python -m repro bench \
-    --requests "${REPRO_BENCH_REQUESTS:-150}" \
-    --output "$output" \
-    "$@"
+output="${REPRO_BENCH_OUTPUT:-BENCH_PR23.json}"
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+for run in 1 2 3 4 5; do
+    echo "bench run $run of 5"
+    python -m repro bench \
+        --requests "${REPRO_BENCH_REQUESTS:-150}" \
+        --output "$scratch/run$run.json" \
+        "$@"
+done
+
+python - "$output" "$scratch"/run*.json <<'EOF'
+import json
+import sys
+
+output, paths = sys.argv[1], sys.argv[2:]
+reports = sorted(
+    (json.load(open(path)) for path in paths), key=lambda report: report["total_s"]
+)
+median = reports[(len(reports) - 1) // 2]
+median["meta"]["median_of_runs"] = {
+    "runs": len(reports),
+    "total_s": [report["total_s"] for report in reports],
+}
+with open(output, "w") as handle:
+    json.dump(median, handle, indent=2, sort_keys=True)
+    handle.write("\n")
+print(f"kept the median of {len(reports)} runs by total_s "
+      f"({median['total_s']:.2f} s) as {output}")
+EOF
 cp -f "$output" BENCH_LATEST.json
 echo "copied $output -> BENCH_LATEST.json"

@@ -15,7 +15,7 @@ bitwise batch-parity headline), the full headline comparison grid, a
 mapping-annealer microbenchmark, and a streaming-scale serve (the trace pulled
 lazily from a request stream, with a simulated-requests-per-wall-clock-second
 headline and a peak-RSS bound) -- and writes the measurements to a JSON file
-(``BENCH_PR22.json`` by default).  Each later report gets its own numbered file, so the
+(``BENCH_PR23.json`` by default).  Each later report gets its own numbered file, so the
 repository carries its performance trajectory alongside the code;
 ``scripts/check_bench_regression.py`` gates CI on the deterministic headline
 metrics staying bit-for-bit on trajectory.  A fixed calibration kernel is

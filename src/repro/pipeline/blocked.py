@@ -22,8 +22,6 @@ before it commits.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..models.architectures import AttentionMask
 from .engine import PipelineEngine, PrefillSegments
 
@@ -43,16 +41,14 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
     def segment_utilization(
         self, segments: PrefillSegments, decode_sequences: int, *, commit: bool
     ) -> float:
-        # Every sum below adds integers, so the array sums are exact.
-        in_flight = float(
-            np.minimum(self.depth, segments.takes + segments.remaining).sum()
-        ) + decode_sequences
-        epoch_tokens = float(decode_sequences) + int(segments.takes.sum())
+        # Every sum below adds integers, so the sums are exact.
+        in_flight = float(segments.in_flight(self.depth)) + decode_sequences
+        epoch_tokens = float(decode_sequences) + sum(segments.takes)
         # The attention stages stall for the length differential whenever a
         # longer-than-ever sequence enters (Section 4.2.2); summed over the
         # epoch's entries in order, the differentials telescope to how far
         # the longest-sequence watermark rises.
-        longest_seen = max(self._longest_seen, int(segments.lengths.max(initial=0)))
+        longest_seen = max(self._longest_seen, max(segments.lengths, default=0))
         bubble_tokens = float(longest_seen - self._longest_seen)
         if commit:
             self._longest_seen = longest_seen

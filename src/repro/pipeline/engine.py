@@ -44,30 +44,27 @@ strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
 
 * :meth:`PipelineEngine.run` -- the fast path.  The shared planner holds
   the active sequences' integer state (remaining prefill/decode, context,
-  generated and prompt tokens) as the rows of one numpy array.  The fast
-  path *carries* those rows across epochs: after each epoch it advances the
-  rows of the sequences left active by their takes, and the next plan reads
-  only the sequences admitted since -- unless a sequence left the active
-  set in between (the scheduler's ``departures`` counter moved), in which
-  case it reads them all again.  The advance is *event-driven*: one array
-  query to the KV provider finds the growths it cannot commit in bulk (ones
-  that may fail or must be charged to a tenant quota), and only those, the
+  generated and prompt tokens) as five lists of Python ints
+  (:class:`PlanRows`).  An epoch handles 8 to 60 sequences; at 8 NumPy's
+  fixed cost per call outweighs its element work, and at about 50 the two
+  forms cost about the same, so the per-epoch kernel is one list kernel
+  that makes no NumPy call: one pass derives every budget, take and event
+  position, and a split scales the budgets.  The fast path *carries* the rows
+  across epochs, advanced by the takes, and the next plan reads only the
+  sequences admitted since -- unless a sequence left the active set in
+  between (the scheduler's ``departures`` counter moved), when it reads
+  them all again.  The advance is *event-driven*: the KV provider commits
+  in bulk the growths it cannot refuse, and only the next growth, the
   sequences finishing prefill and the completing ones go through the
-  per-sequence ``grow_sequence`` -> ``apply_advance`` -> ``complete`` calls,
-  in snapshot order.  Every other sequence gets a plain commit -- the block
-  crossings among them allocated together -- so eviction order, mid-epoch KV
-  releases and the KV high-water mark are exactly the scalar path's.  The
-  epoch tally (tokens, context-weighted tokens, per-quantized-context energy
-  bins, prefill segments, first decoders) is computed once per epoch, in a
-  few calls over whole arrays: the token counts come from the take lists
-  the advance already holds, one (2, N) array of doubled segment starts
-  gives both the context-weighted sum -- summed exactly in integers, so it
-  equals the scalar path's float sum bit for bit (:func:`context_weighted`)
-  -- and every segment's quantised context, and one pass in snapshot order
-  fills the energy bins in the scalar loop's first-touch order.  The
-  token-grained strategy reads the plan's rows of every sequence for its
-  in-flight sum (:attr:`PipelineEngine.full_prefill_rows`) instead of a
-  gather of the prefilling ones.
+  per-sequence ``grow_sequence`` -> ``apply_advance`` -> ``complete``
+  calls, in snapshot order, so eviction order, mid-epoch KV releases and
+  the KV high-water mark are exactly the scalar path's.  The epoch tally is
+  one loop in snapshot order: the context-weighted sum, in integers and
+  exact (:func:`_halved`), each segment's energy bin, rounded half to even
+  as the scalar path's ``_quantize``, the bins in its first-touch order,
+  the first decoders and the carried rows.  The token-grained strategy
+  reads the plan's rows of every sequence for its in-flight sum
+  (:attr:`PipelineEngine.full_prefill_rows`), not only the prefilling ones.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
   original one-sequence-at-a-time loop, kept for validation.  It shares the
   epoch loop and the epoch-closing arithmetic (duration, utilization,
@@ -94,12 +91,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
-from itertools import chain, compress
+from itertools import compress, count
+from operator import add, mul, sub
 from typing import NamedTuple
-
-import numpy as np
-import numpy.typing as npt
 
 from ..errors import ConfigurationError, SimulationError
 from ..models.architectures import ModelArch
@@ -194,45 +188,26 @@ class EpochRecord:
     active_sequences: int
 
 
-IntArray = npt.NDArray[np.int64]
-
 #: a doubled context-weighted sum below this is exact in float64, and so is
-#: its half (see :func:`context_weighted`)
+#: its half (see :func:`_halved`)
 _EXACT_DOUBLED_LIMIT = 2**53
 
-#: how one epoch's takes move a sequence's plan rows (remaining prefill,
-#: remaining decode, context, generated, prompt): ``rows += _ADVANCE @ takes``
-_ADVANCE = np.array([[-1, 0], [0, -1], [1, 1], [0, 1], [0, 0]], dtype=np.int64)
 
-
-def context_weighted(
-    budget: IntArray, context: IntArray, tokens: int | None = None
-) -> float:
-    """An epoch's context-weighted token count, exactly.
+def _halved(doubled: int) -> float:
+    """An epoch's context-weighted token count from its doubled form, exactly.
 
     Sequence *i* processes ``budget[i]`` tokens at positions ``context[i]``
     onwards; a segment of ``take`` tokens from ``start`` attends on average
     to ``(2·start + take − 1) / 2`` cached tokens, so the count is
     ``Σ budget·(2·context + budget − 1) / 2`` whichever way the budget
-    splits into prefill and decode.  It is summed doubled, in int64 like
-    every per-sequence counter array of the engine, and halved once.  Every
-    term of the float form ``(start + (take − 1) / 2)·take`` is a
-    half-integer, so while the doubled sum stays below 2**53 every float
-    partial sum is exact too, and any summation order -- the scalar
-    oracle's sequential one, per-row pairwise sums, a ``cumsum`` -- gives
-    this value bit for bit.  An epoch at or past that bound raises
+    splits into prefill and decode.  The engine sums it doubled, in Python
+    ints, and halves it here once.  Every term of the float form
+    ``(start + (take − 1) / 2)·take`` is a half-integer, so while the
+    doubled sum stays below 2**53 every float partial sum is exact too, and
+    any summation order -- the scalar oracle's sequential one included --
+    gives this value bit for bit.  An epoch at or past that bound raises
     :class:`SimulationError` rather than disagree with the scalar oracle.
-    ``tokens`` is ``Σ budget`` when the caller has it already.
     """
-    if tokens is None:
-        tokens = int(np.add.reduce(budget))
-    return _halved(
-        2 * int(np.dot(budget, context)) + int(np.dot(budget, budget)) - tokens
-    )
-
-
-def _halved(doubled: int) -> float:
-    """Half a doubled context-weighted count, which must be exact in float64."""
     if not 0 <= doubled < _EXACT_DOUBLED_LIMIT:
         raise SimulationError(
             f"epoch context-weighted token count {doubled} / 2 is outside "
@@ -241,76 +216,102 @@ def _halved(doubled: int) -> float:
     return doubled / 2
 
 
+def _doubled_count(budgets: list[int], context: list[int]) -> int:
+    """``Σ budget·(2·context + budget − 1)`` (see :func:`_halved`)."""
+    doubled = 2 * sum(map(mul, budgets, context)) + sum(map(mul, budgets, budgets))
+    return doubled - sum(budgets)
+
+
+class PlanRows(NamedTuple):
+    """The planner's state of the active sequences, one list per counter and
+    one entry per sequence of the active snapshot (``context`` counts cached
+    tokens, ``generated`` output tokens so far)."""
+
+    remaining_prefill: list[int]
+    remaining_decode: list[int]
+    context: list[int]
+    generated: list[int]
+    prefill_length: list[int]
+
+
 @dataclass
 class EpochPlan:
     """Per-sequence token takes for one epoch, shared by both engine paths.
 
-    Arrays are int64 and indexed like the active snapshot.  ``budget[i]``
-    caps sequence *i*'s tokens this epoch; ``takes`` splits it into two
-    *segments*: row 0 is the prefill take at the sequence's current position,
-    row 1 the decode take right after it.  ``rows`` is the state the takes
-    were derived from, one row each for ``remaining_prefill``,
-    ``remaining_decode``, ``context`` (cached tokens), ``generated`` (output
-    tokens so far) and ``prefill_length``, which are views of it.  The fast
-    path keeps it across epochs, and reads it for the tally and the planned
-    duration.  ``split`` marks plans whose budgets were truncated so the
-    epoch closes at the next queue-head arrival instead of running a full
-    chunk past it.
+    Lists are indexed like the active snapshot.  ``budgets[i]`` caps
+    sequence *i*'s tokens this epoch, split into two *segments*: the prefill
+    take at the sequence's current position, then the decode take right
+    after it.  ``events`` are the positions whose take reaches the end of
+    the prompt or -- once the prompt is done -- of the output: the last
+    prompt token changes the phase, the last output token completes the
+    sequence.  ``rows`` is the state the takes were derived from; the fast
+    path carries it across epochs.  ``split`` marks plans whose budgets were
+    truncated so the epoch closes at the next queue-head arrival instead of
+    running a full chunk past it.
     """
 
-    budget: IntArray
-    takes: IntArray
-    rows: IntArray
+    budgets: list[int]
+    prefill_takes: list[int]
+    decode_takes: list[int]
+    events: list[int]
+    rows: PlanRows
     split: bool = False
-    remaining_prefill: IntArray = field(init=False)
-    remaining_decode: IntArray = field(init=False)
-    context: IntArray = field(init=False)
-    generated: IntArray = field(init=False)
-    prefill_length: IntArray = field(init=False)
 
-    def __post_init__(self) -> None:
-        (
-            self.remaining_prefill,
-            self.remaining_decode,
-            self.context,
-            self.generated,
-            self.prefill_length,
-        ) = self.rows
+    @classmethod
+    def derive(cls, rows: PlanRows, chunk: int) -> EpochPlan:
+        """Budget every sequence ``min(chunk, remaining)`` tokens, prompt
+        tokens first, in one pass.
 
-    def derive_takes(self) -> None:
-        """Split every budget: prompt tokens first, the rest decodes."""
-        prefill, decode = self.takes
-        np.minimum(self.budget, self.remaining_prefill, out=prefill)
-        np.subtract(self.budget, prefill, out=decode)
-        np.minimum(decode, self.remaining_decode, out=decode)
-
-    def events(self) -> npt.NDArray[np.bool_]:
-        """Whether each sequence's take reaches the end of its prompt or --
-        once the prompt is done -- of its output: the last prompt token
-        changes the phase, the last output token completes the sequence.
-
-        A budget never exceeds what remains, so reaching is ``>=``; a
-        sequence with no take has no event.
+        A budget never exceeds what remains, so a take reaches the end of
+        the prompt (or of the output, once the prompt is done) exactly when
+        it covers it; a sequence without a budget has no event.
         """
-        remaining_prefill = self.remaining_prefill
-        ends = np.where(remaining_prefill, remaining_prefill, self.remaining_decode)
-        np.maximum(ends, 1, out=ends)
-        return self.budget >= ends
+        budgets: list[int] = []
+        prefill_takes: list[int] = []
+        decode_takes: list[int] = []
+        events: list[int] = []
+        for index, prefill, decode in zip(
+            count(), rows.remaining_prefill, rows.remaining_decode
+        ):
+            budget = prefill + decode
+            if budget > chunk:
+                budget = chunk
+            budgets.append(budget)
+            if prefill > budget:
+                prefill_takes.append(budget)
+                decode_takes.append(0)
+            else:
+                take = budget - prefill
+                prefill_takes.append(prefill)
+                decode_takes.append(take)
+                if budget and (prefill or take == decode):
+                    events.append(index)
+        return cls(budgets, prefill_takes, decode_takes, events, rows)
 
-    # Python-int views: the scalar oracle indexes budgets one sequence at a
-    # time, and its counters must stay Python ints.
+    def truncated(self, fraction: float) -> EpochPlan:
+        """This plan with every budget scaled by ``fraction`` (below 1).
 
-    @cached_property
-    def budgets(self) -> list[int]:
-        return self.budget.tolist()
-
-    @cached_property
-    def prefill_takes(self) -> list[int]:
-        return self.takes[0].tolist()
-
-    @cached_property
-    def decode_takes(self) -> list[int]:
-        return self.takes[1].tolist()
+        Truncation floors, but a sequence with a budget keeps one token.  A
+        smaller budget reaches the end of a prompt or an output only where
+        the full one did, so the events are this plan's the scaled budgets
+        reach.
+        """
+        rows = self.rows
+        remaining_prefill = rows.remaining_prefill
+        remaining_decode = rows.remaining_decode
+        scaled = [
+            int(fraction * budget) or 1 if budget else 0 for budget in self.budgets
+        ]
+        prefill_takes = [
+            budget if budget < prefill else prefill
+            for budget, prefill in zip(scaled, remaining_prefill)
+        ]
+        decode_takes = list(map(sub, scaled, prefill_takes))
+        events = [
+            index for index in self.events
+            if scaled[index] >= (remaining_prefill[index] or remaining_decode[index])
+        ]
+        return EpochPlan(scaled, prefill_takes, decode_takes, events, rows, split=True)
 
 
 class PrefillSegments(NamedTuple):
@@ -319,44 +320,59 @@ class PrefillSegments(NamedTuple):
     ``takes`` are the prompt tokens each sequence prefills this epoch,
     ``remaining`` its prompt tokens still to prefill as the caller sees it
     (before the epoch when planning, after it when closing) and ``lengths``
-    its prompt length.  The utilization models read these arrays.  For a
-    strategy with :attr:`PipelineEngine.full_prefill_rows` the arrays may
+    its prompt length.  The utilization models read these lists.  For a
+    strategy with :attr:`PipelineEngine.full_prefill_rows` the lists may
     hold every sequence of the epoch instead; a sequence without a prefill
     take then has ``takes`` and ``remaining`` 0.
     """
 
-    takes: IntArray
-    remaining: IntArray
-    lengths: IntArray
+    takes: list[int]
+    remaining: list[int]
+    lengths: list[int]
 
     @classmethod
     def of(
         cls, segments: PrefillSegments | list[tuple[Sequence, int]]
     ) -> PrefillSegments:
-        """Accept ready arrays, or ``(sequence, tokens)`` pairs read right now."""
+        """Accept ready lists, or ``(sequence, tokens)`` pairs read right now."""
         if isinstance(segments, PrefillSegments):
             return segments
         return cls(
-            takes=np.array([count for _, count in segments], dtype=np.int64),
-            remaining=np.array(
-                [sequence.remaining_prefill for sequence, _ in segments], dtype=np.int64
-            ),
-            lengths=np.array(
-                [sequence.request.prefill_length for sequence, _ in segments],
-                dtype=np.int64,
-            ),
+            takes=[tokens for _, tokens in segments],
+            remaining=[sequence.remaining_prefill for sequence, _ in segments],
+            lengths=[sequence.request.prefill_length for sequence, _ in segments],
         )
+
+    @classmethod
+    def prefilling(
+        cls, takes: list[int], remaining: list[int], lengths: list[int]
+    ) -> PrefillSegments:
+        """The entries of every sequence's lists that have a prefill take."""
+        return cls(
+            takes=list(compress(takes, takes)),
+            remaining=list(compress(remaining, takes)),
+            lengths=list(compress(lengths, takes)),
+        )
+
+    def in_flight(self, depth: int) -> int:
+        """``Σ min(depth, take + remaining)``: a prefilling sequence keeps
+        streaming prompt tokens into the pipeline beyond this epoch's take,
+        up to the pipeline's ``depth``."""
+        return sum([
+            streaming if streaming < depth else depth
+            for streaming in map(add, self.takes, self.remaining)
+        ])
 
 
 @dataclass
 class _EpochTally:
     """What one epoch's advance produced, handed to the shared epoch closer.
 
-    Both advance strategies (vectorised and scalar) fill the same tally, so
+    Both advance strategies (batched and scalar) fill the same tally, so
     the loop around them — stall handling, epoch closing, timestamp stamping,
     accumulator updates — is written once in :meth:`PipelineEngine._drive`.
     The scalar path appends ``(sequence, tokens)`` prefill segments; the fast
-    path hands over :class:`PrefillSegments` arrays.
+    path hands over :class:`PrefillSegments` lists.
     """
 
     tokens: int = 0
@@ -443,7 +459,7 @@ class PipelineEngine:
         #: plan rows of the sequences a fast epoch left active, in active
         #: order, with the scheduler's departure count at that moment (see
         #: :meth:`_plan_rows`)
-        self._carried: tuple[IntArray, int] | None = None
+        self._carried: tuple[PlanRows, int] | None = None
 
     # ------------------------------------------------------------ cached costs
 
@@ -529,7 +545,7 @@ class PipelineEngine:
     ) -> RunResult | EngineCheckpoint:
         """Serve ``trace`` to completion and return aggregate results.
 
-        This is the array-based fast path; see the module docstring.  The
+        This is the event-driven fast path; see the module docstring.  The
         retained reference implementation is :meth:`run_scalar`.
 
         ``fault_plan`` deterministically injects faults at epoch boundaries.
@@ -559,7 +575,7 @@ class PipelineEngine:
     ) -> RunResult | EngineCheckpoint:
         """Retained scalar reference: advance one sequence at a time.
 
-        Kept as the validation oracle for the array-based :meth:`run`; both
+        Kept as the validation oracle for the fast :meth:`run`; both
         paths share the epoch loop and the epoch-closing arithmetic, so their
         results must match bit for bit.  Prefer :meth:`run` everywhere else --
         this advance strategy is an order of magnitude slower on large traces.
@@ -586,16 +602,15 @@ class PipelineEngine:
         KV provider's ``commit_tokens``, which commits their growths in order
         for as long as none can be refused; the next one, whose growth may
         fail, becomes an event too.  So every event sees exactly the state the
-        one-sequence-at-a-time loop would show it.  The tally is then computed
-        once, from the plan's arrays and the take lists built here, and the
-        plan rows of the sequences left active are carried into the next
-        epoch.
+        one-sequence-at-a-time loop would show it.  The tally then walks the
+        takes once (:meth:`_tally`), and the plan rows of the sequences left
+        active are carried into the next epoch.
         """
         scheduler = self.scheduler
         kv = scheduler.kv_provider
-        budget = plan.budget
-        budgets = budget.tolist()
-        prefill_takes, decode_takes = plan.takes.tolist()
+        budgets = plan.budgets
+        prefill_takes = plan.prefill_takes
+        decode_takes = plan.decode_takes
         # positions of the sequences that did not process their takes, and
         # of the ones that completed
         skipped: list[int] = []
@@ -606,7 +621,7 @@ class PipelineEngine:
         expected_active = scheduler.num_active
         disturbed = False
         end = len(snapshot)
-        scheduled = iter(plan.events().nonzero()[0].tolist())
+        scheduled = iter(plan.events)
         stop = next(scheduled, end)
         start = 0
         while True:
@@ -663,115 +678,110 @@ class PipelineEngine:
                 skipped.append(index)
             if scheduler.num_active != expected_active:
                 disturbed = True
-        takes = plan.takes
         if skipped:
-            advanced = budget > 0
-            advanced[skipped] = False
-            takes = takes * advanced
-            prefill_takes, decode_takes = takes.tolist()
+            prefill_takes = prefill_takes.copy()
+            decode_takes = decode_takes.copy()
+            for index in skipped:
+                prefill_takes[index] = decode_takes[index] = 0
             # The plan rows no longer describe every sequence either.
             disturbed = True
-        if disturbed:
-            self._carried = None
-        else:
-            # Exactly the completed sequences left: carry the others' rows.
-            rows = plan.rows + _ADVANCE @ takes
-            if completed:
-                kept = np.ones(end, dtype=bool)
-                kept[completed] = False
-                rows = rows[:, kept]
-            self._carried = (rows, scheduler.departures)
-        return self._tally(
-            snapshot, plan, takes, prefill_takes, decode_takes, finished, disturbed
+        tally, carried = self._tally(
+            snapshot, plan, prefill_takes, decode_takes, finished, completed,
+            disturbed,
         )
+        self._carried = None if carried is None else (carried, scheduler.departures)
+        return tally
 
     def _tally(
         self,
         snapshot: list[Sequence],
         plan: EpochPlan,
-        takes: IntArray,
         prefill_takes: list[int],
         decode_takes: list[int],
         finished: list[Sequence],
+        completed: list[int],
         disturbed: bool,
-    ) -> _EpochTally:
-        """The fast path's epoch tally, from the plan's arrays and take lists.
+    ) -> tuple[_EpochTally, PlanRows | None]:
+        """The fast path's epoch tally, and the rows to carry into the next epoch.
 
-        ``takes`` are the segment takes of the sequences that advanced (row 0
-        prefill, row 1 decode; zero for a sequence that did not), and
-        ``prefill_takes`` / ``decode_takes`` the same rows as lists, which
-        give the token total, the decoder count and the longest decode take.
-        Twice every segment's average context, ``2·start + take − 1`` (the
-        decode segment starts where the prefill take ends), is one (2, N)
-        array.  It gives the exact context-weighted sum
-        ``Σ take·(2·start + take − 1) / 2`` (:func:`context_weighted`'s sum,
-        split by segment) and, divided by twice the quantum and rounded half
-        to even, every segment's key exactly as the scalar path's
-        ``_quantize`` of the half.  One pass in snapshot order fills the
-        energy bins in the scalar loop's first-touch order (prefill segment,
-        then decode segment) and collects the first decoders.  ``disturbed``
-        (a sequence did not advance, or an event evicted sequences) means the
-        plan rows may no longer describe a sequence, so the prefilling
-        sequences' remaining prompts are read back from the sequences.
+        ``prefill_takes`` / ``decode_takes`` are the takes of the sequences
+        that advanced (zero for one that did not), ``completed`` the
+        positions that completed.  One loop in snapshot order walks every
+        segment.  Twice its average context, ``2·start + take − 1`` (the
+        decode segment starts where the prefill take ends), weighted by the
+        take sums to the exact context-weighted count (:func:`_halved`);
+        divided by twice the quantum -- correctly rounded, on exact operands
+        -- and rounded half to even it is the scalar path's ``_quantize`` of
+        the half, the segment's energy bin.  The bins fill in the scalar
+        loop's first-touch order (prefill, then decode segment).
+
+        ``disturbed`` (a sequence did not advance, or an event evicted
+        sequences) means the plan rows may no longer describe a sequence:
+        nothing is carried, and the remaining prompts are read back from
+        the sequences.  Otherwise the rows advanced by the takes are carried
+        without the completed positions, which the prefill segments keep.
         """
         tokens = sum(prefill_takes) + sum(decode_takes)
         if tokens == 0:
-            return _EpochTally(finished=finished)
-        doubled = np.empty_like(takes)
-        np.multiply(plan.context, 2, out=doubled[0])
-        doubled[0] += plan.takes[0]
-        doubled[0] -= 1
-        np.add(doubled[0], plan.budget, out=doubled[1])
-        weighted = _halved(int(np.vdot(takes, doubled)))
+            return _EpochTally(finished=finished), None
         quantum = self.config.context_quantum
-        prefill_keys, decode_keys = (
-            np.rint(doubled / (2 * quantum)).astype(np.int64).tolist()
-        )
+        width = 2 * quantum
+        rows = plan.rows
         energy_bins: dict[int, int] = {}
         first_decoders: list[Sequence] = []
-        for sequence, generated, prefill, prefill_key, decode, decode_key in zip(
-            snapshot, plan.generated.tolist(), prefill_takes, prefill_keys,
-            decode_takes, decode_keys,
+        doubled = 0
+        advanced = PlanRows([], [], [], [], rows.prefill_length)
+        remaining_prefill, remaining_decode, context, generated, lengths = advanced
+        for sequence, prompt_left, output_left, start, output, prefill, decode in zip(
+            snapshot, rows.remaining_prefill, rows.remaining_decode, rows.context,
+            rows.generated, prefill_takes, decode_takes,
         ):
             if prefill:
-                key = prefill_key * quantum or 1
+                twice = 2 * start + prefill - 1
+                doubled += prefill * twice
+                key = round(twice / width) * quantum or 1
                 energy_bins[key] = energy_bins.get(key, 0) + prefill
+                start += prefill
             if decode:
-                key = decode_key * quantum or 1
+                twice = 2 * start + decode - 1
+                doubled += decode * twice
+                key = round(twice / width) * quantum or 1
                 energy_bins[key] = energy_bins.get(key, 0) + decode
-                if not generated:
+                if not output:
                     first_decoders.append(sequence)
-        prefill_take = takes[0]
+                start += decode
+            remaining_prefill.append(prompt_left - prefill)
+            remaining_decode.append(output_left - decode)
+            context.append(start)
+            generated.append(output + decode)
+        carried = None if disturbed else advanced
+        if disturbed:
+            remaining_prefill = [s.remaining_prefill for s in snapshot]
         if self.full_prefill_rows and not disturbed:
-            segments = PrefillSegments(
-                takes=prefill_take,
-                remaining=plan.remaining_prefill - prefill_take,
-                lengths=plan.prefill_length,
-            )
+            segments = PrefillSegments(prefill_takes, remaining_prefill, lengths)
         else:
-            prefilled = prefill_take.nonzero()[0]
-            if disturbed:
-                remaining = np.array(
-                    [snapshot[i].remaining_prefill for i in prefilled.tolist()],
-                    dtype=np.int64,
-                )
-            else:
-                remaining = plan.remaining_prefill[prefilled] - prefill_take[prefilled]
-            segments = PrefillSegments(
-                takes=prefill_take[prefilled],
-                remaining=remaining,
-                lengths=plan.prefill_length[prefilled],
+            segments = PrefillSegments.prefilling(
+                prefill_takes, remaining_prefill, lengths
             )
+        if carried is not None and completed:
+            # The segments still read every position: drop the completed
+            # ones from copies of the lists they share.
+            carried = advanced._replace(
+                remaining_prefill=remaining_prefill[:], prefill_length=lengths[:]
+            )
+            for index in reversed(completed):
+                for row in carried:
+                    del row[index]
         return _EpochTally(
             tokens=tokens,
-            context_weighted=weighted,
+            context_weighted=_halved(doubled),
             energy_bins=energy_bins,
             prefill_segments=segments,
             decode_sequences=len(decode_takes) - decode_takes.count(0),
             max_decode_chunk=max(decode_takes),
             first_decoders=first_decoders,
             finished=finished,
-        )
+        ), carried
 
     def _advance_epoch_scalar(
         self, snapshot: list[Sequence], plan: EpochPlan, time_s: float
@@ -832,7 +842,7 @@ class PipelineEngine:
     ) -> RunResult | EngineCheckpoint:
         """The shared epoch loop behind :meth:`run` and :meth:`run_scalar`.
 
-        ``advance`` is the per-epoch strategy (vectorised or scalar).  With
+        ``advance`` is the per-epoch strategy (batched or scalar).  With
         ``arrival_feed=None`` this is the exact batch control flow; a live
         feed adds the watermark gates described in the module docstring, and
         a feed-requested checkpoint-and-stop surfaces as :class:`_LiveSuspend`
@@ -1206,17 +1216,17 @@ class PipelineEngine:
     def _plan_epoch(self, snapshot: list[Sequence], time_s: float) -> EpochPlan:
         """Derive every active sequence's takes, splitting at the next arrival.
 
-        The vectorised baseline take is ``min(chunk, remaining)`` per
-        sequence, split into a prefill take at its current position and a
-        decode take right after it.  When the next admission candidate's
-        arrival (policy-defined, see :meth:`_gap_to_next_arrival`) lands
-        strictly inside the epoch's planned duration, the budgets are scaled
-        down proportionally (``floor``, but at least one token per advancing
-        sequence so the epoch always makes progress) so the epoch closes at
-        the arrival; the remainder of each chunk carries into the next epoch.
-        Token granularity means the boundary can overshoot the arrival by at
-        most one token per active sequence — the bounded admission error the
-        split exists to provide.
+        The baseline budget is ``min(chunk, remaining)`` per sequence, split
+        into a prefill take at its current position and a decode take right
+        after it (:meth:`EpochPlan.derive`).  When the next admission
+        candidate's arrival (policy-defined, see :meth:`_gap_to_next_arrival`)
+        lands strictly inside the epoch's planned duration, the budgets are
+        scaled down proportionally (``floor``, but at least one token per
+        advancing sequence so the epoch always makes progress) so the epoch
+        closes at the arrival (:meth:`EpochPlan.truncated`); the remainder of
+        each chunk carries into the next epoch.  Token granularity means the
+        boundary can overshoot the arrival by at most one token per active
+        sequence — the bounded admission error the split exists to provide.
 
         Both engine paths call this exact code, so the split decision — the
         only place planned (pre-KV-growth) floating-point arithmetic feeds
@@ -1227,30 +1237,15 @@ class PipelineEngine:
         The sequences' state comes from :meth:`_plan_rows`; everything else
         is derived from its rows.
         """
-        rows = self._plan_rows(snapshot)
-        budget = rows[0] + rows[1]
-        np.minimum(budget, self.config.chunk_tokens, out=budget)
-        plan = EpochPlan(
-            budget=budget,
-            takes=np.empty((2, len(snapshot)), dtype=np.int64),
-            rows=rows,
-        )
-        plan.derive_takes()
+        plan = EpochPlan.derive(self._plan_rows(snapshot), self.config.chunk_tokens)
         gap = self._gap_to_next_arrival(time_s)
         if gap is not None:
             planned = self._planned_duration(plan)
             if 0.0 < gap < planned:
-                fraction = gap / planned
-                # Truncation is floor on these non-negative products; a
-                # sequence with a budget keeps at least one token.
-                scaled = (fraction * budget).astype(np.int64)
-                np.maximum(scaled, budget > 0, out=scaled)
-                plan.budget = scaled
-                plan.derive_takes()
-                plan.split = True
+                plan = plan.truncated(gap / planned)
         return plan
 
-    def _plan_rows(self, snapshot: list[Sequence]) -> IntArray:
+    def _plan_rows(self, snapshot: list[Sequence]) -> PlanRows:
         """The plan rows of every sequence in ``snapshot``.
 
         After a fast epoch the rows of the sequences it left active are
@@ -1262,32 +1257,29 @@ class PipelineEngine:
         carried = self._carried
         if carried is not None and carried[1] == self.scheduler.departures:
             rows = carried[0]
-            kept = rows.shape[1]
+            kept = len(rows.context)
             if kept == len(snapshot):
                 return rows
-            return np.concatenate([rows, self._read_rows(snapshot[kept:])], axis=1)
+            return PlanRows._make(map(add, rows, self._read_rows(snapshot[kept:])))
         return self._read_rows(snapshot)
 
     @staticmethod
-    def _read_rows(sequences: list[Sequence]) -> IntArray:
+    def _read_rows(sequences: list[Sequence]) -> PlanRows:
         """Read the plan rows of ``sequences`` from their counters, in one pass."""
-        count = len(sequences)
-        return np.fromiter(
-            chain.from_iterable(
-                [
-                    (
-                        s.request.prefill_length + s.extra_prefill - s.prefill_progress,
-                        s.request.decode_length - s.decode_offset - s.decode_progress,
-                        s.prefill_progress + s.decode_progress,
-                        s.decode_offset + s.decode_progress,
-                        s.request.prefill_length,
-                    )
-                    for s in sequences
-                ]
-            ),
-            dtype=np.int64,
-            count=5 * count,
-        ).reshape(count, 5).T
+        rows = PlanRows([], [], [], [], [])
+        for s in sequences:
+            prompt = s.request.prefill_length
+            prefilled, decoded = s.prefill_progress, s.decode_progress
+            offset = s.decode_offset
+            for row, value in zip(rows, (
+                prompt + s.extra_prefill - prefilled,
+                s.request.decode_length - offset - decoded,
+                prefilled + decoded,
+                offset + decoded,
+                prompt,
+            )):
+                row.append(value)
+        return rows
 
     def _gap_to_next_arrival(self, time_s: float) -> float | None:
         """Seconds until admission can next progress (None when it cannot gate).
@@ -1316,32 +1308,35 @@ class PipelineEngine:
         :meth:`planned_utilization` because a truncated plan is re-evaluated
         at close time.
         """
-        budget = plan.budget
-        epoch_tokens = sum(budget.tolist())
+        budgets = plan.budgets
+        epoch_tokens = sum(budgets)
         if epoch_tokens <= 0:
             return 0.0
-        prefill_takes, decode_takes = plan.takes
-        weighted = context_weighted(budget, plan.context, epoch_tokens)
-        interval = self.stage_interval(weighted / epoch_tokens)
+        rows = plan.rows
+        interval = self.stage_interval(
+            _halved(_doubled_count(budgets, rows.context)) / epoch_tokens
+        )
         if self.full_prefill_rows:
             # A sequence without a prefill take has no prompt left to prefill.
             segments = PrefillSegments(
-                prefill_takes, plan.remaining_prefill, plan.prefill_length
+                plan.prefill_takes, rows.remaining_prefill, rows.prefill_length
             )
         else:
-            prefilling = prefill_takes > 0
-            segments = PrefillSegments(
-                takes=prefill_takes[prefilling],
-                remaining=plan.remaining_prefill[prefilling],
-                lengths=plan.prefill_length[prefilling],
+            segments = PrefillSegments.prefilling(
+                plan.prefill_takes, rows.remaining_prefill, rows.prefill_length
             )
-        decodes = decode_takes.tolist()
+        decode_takes = plan.decode_takes
         utilization = max(
             1e-6,
-            min(1.0, self.planned_utilization(segments, len(decodes) - decodes.count(0))),
+            min(
+                1.0,
+                self.planned_utilization(
+                    segments, len(decode_takes) - decode_takes.count(0)
+                ),
+            ),
         )
         duration = epoch_tokens * interval / utilization
-        return max(duration, max(decodes) * self.depth * interval)
+        return max(duration, max(decode_takes) * self.depth * interval)
 
     def _admit_or_skip_idle(
         self, time_s: float, arrival_feed=None, live_sync=None

@@ -16,6 +16,8 @@ Both effects are modelled per epoch from the actual set of in-flight items.
 
 from __future__ import annotations
 
+from operator import add
+
 from .engine import PipelineEngine, PrefillSegments
 
 
@@ -29,11 +31,11 @@ class SequenceGrainedPipeline(PipelineEngine):
     ) -> float:
         # Work-item sizes currently in flight: one item per prefilling
         # sequence (its remaining prompt chunk) and one single-token item per
-        # decoding sequence.  The spread below is a float sum, so it stays a
-        # Python sum over a list, in segment order.
-        item_sizes: list[float] = (
-            (segments.takes + segments.remaining).astype(float).tolist()
-        )
+        # decoding sequence.  The spread below is a float sum, in segment
+        # order.
+        item_sizes = [
+            float(size) for size in map(add, segments.takes, segments.remaining)
+        ]
         item_sizes.extend([1.0] * decode_sequences)
         if not item_sizes:
             return 0.0

@@ -17,8 +17,6 @@ decode-phase utilisation drops below one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .engine import PipelineEngine, PrefillSegments
 
 
@@ -35,9 +33,7 @@ class TokenGrainedPipeline(PipelineEngine):
         # A prefilling sequence keeps streaming into the pipeline beyond this
         # epoch's chunk, so its in-flight contribution is bounded by the
         # pipeline depth, not by the chunk size.  (Integer sums: exact.)
-        streaming = segments.takes + segments.remaining
-        np.minimum(streaming, self.depth, out=streaming)
-        in_flight = int(np.add.reduce(streaming)) + decode_sequences
+        in_flight = segments.in_flight(self.depth) + decode_sequences
         if in_flight <= 0:
             return 0.0
         return min(1.0, in_flight / self.depth)

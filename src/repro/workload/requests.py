@@ -276,12 +276,11 @@ class Sequence:
     def apply_advance(self, prefill_tokens: int, decode_tokens: int) -> None:
         """Apply a bulk advance whose phase split was computed externally.
 
-        The array-based epoch engine derives ``prefill_tokens`` /
-        ``decode_tokens`` for every active sequence with vectorised min/max
-        operations (``prefill = min(budget, remaining_prefill)``; ``decode =
-        min(budget - prefill, remaining_decode)``) and commits them here.  The
-        phase transitions are identical to :meth:`advance_tokens` walking the
-        same counts.
+        The fast epoch engine derives ``prefill_tokens`` / ``decode_tokens``
+        for every active sequence in one pass over its plan rows (``prefill =
+        min(budget, remaining_prefill)``; ``decode = min(budget - prefill,
+        remaining_decode)``) and commits them here.  The phase transitions
+        are identical to :meth:`advance_tokens` walking the same counts.
         """
         if self.phase not in (SequencePhase.PREFILL, SequencePhase.DECODE):
             raise SchedulingError(

@@ -33,7 +33,7 @@ class TestParser:
 
     def test_bench_default_output_tracks_pr(self):
         args = build_parser().parse_args(["bench"])
-        assert args.output == "BENCH_PR22.json"
+        assert args.output == "BENCH_PR23.json"
 
     def test_serve_policy_choice(self):
         """serve picks its policy with --tune; client keeps --policy."""

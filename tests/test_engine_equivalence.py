@@ -14,6 +14,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.kvcache.static import StaticKVCacheManager
@@ -132,8 +134,8 @@ def plan_rows_check(monkeypatch):
             [s.generated_tokens for s in snapshot],
             [s.request.prefill_length for s in snapshot],
         ]
-        if plan.rows.tolist() != fresh:
-            check.mismatches.append((check.plans, plan.rows.tolist(), fresh))
+        if list(plan.rows) != fresh:
+            check.mismatches.append((check.plans, list(plan.rows), fresh))
         check.plans += 1
         return plan
 
@@ -698,6 +700,135 @@ class TestCarriedPlanRows:
         )
         assert serve_via_daemon(spec) == api.serve(spec).as_dict()
         plan_rows_check.assert_held()
+
+
+class TestCompletionInTokenGrainedClose:
+    """A sequence that completes in an epoch still counts in that epoch's
+    token-grained close: its prefill take streamed through the pipeline,
+    although the rows carried into the next epoch drop it."""
+
+    def test_completion_shares_the_close(
+        self, plan_rows_check, tiny_arch, small_wafer_config
+    ):
+        from repro.workload.generator import TenantSpec
+
+        # At chunk 4 the short request prefills and completes in the first
+        # epoch, ahead of the long one, which is still prefilling.  The two
+        # keep fewer tokens in flight than the 12-stage pipeline holds, so
+        # each of them moves the epoch's utilization and duration.
+        tenants = (
+            TenantSpec(name="short", workload="lp2_ld1", num_requests=1),
+            TenantSpec(name="long", workload="lp6_ld4", num_requests=1),
+        )
+
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", chunk=4)
+
+        fast, scalar = build(), build()
+        result = fast.run(multi_tenant_stream(tenants).materialize())
+        assert_bitwise_equal(
+            result, scalar.run_scalar(multi_tenant_stream(tenants).materialize())
+        )
+        assert_kv_state_equal(fast, scalar)
+        assert [dataclasses.astuple(r) for r in fast.epochs] == [
+            dataclasses.astuple(r) for r in scalar.epochs
+        ]
+        first = fast.epochs[0]
+        assert (first.active_sequences, first.tokens) == (2, 7)
+        assert first.utilization < 1.0
+        plan_rows_check.assert_held()
+
+
+#: (prompt, output) lengths of the generated tenants' fixed-length requests.
+#: Under the dynamic KV policy the first tenant's requests outgrow one
+#: 256-token KV block, so growth can fail and evict; under the static policy
+#: every request fits the tiny model's 256-token context.
+GENERATED_LENGTHS = {
+    "long": (st.integers(230, 320), st.integers(32, 96)),
+    "any": (st.integers(1, 320), st.integers(0, 96)),
+    "static": (st.integers(1, 160), st.integers(0, 80)),
+}
+
+
+class TestGeneratedConfigs:
+    """Fast == scalar on generated engine setups, not only hand-picked ones:
+    every strategy, dynamic or static KV, each scheduling policy, preemption
+    on or off, a concurrency cap, a chunk size, a cache from pressured to
+    roomy, and open- or closed-loop traces of one or two tenants.  A setup
+    that cannot serve its trace must fail the same way on both paths."""
+
+    @given(data=st.data())
+    # the fixtures are read-only, and the plan-rows check accumulates
+    # across examples: every example must leave it without a mismatch
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_fast_matches_scalar(
+        self, plan_rows_check, tiny_arch, small_wafer_config, data
+    ):
+        from repro.errors import SimulationError
+        from repro.workload.generator import TenantSpec
+
+        draw = data.draw
+        engine_cls = draw(st.sampled_from(ENGINES))
+        kv_policy = draw(st.sampled_from(KV_POLICIES))
+        kv_cores, blocks_per_core = draw(
+            st.sampled_from([(24, 2), (48, 2), (24, 4), (48, 64)])
+        )
+        config = dict(
+            blocks_per_core=blocks_per_core,
+            kv_cores=kv_cores,
+            chunk=draw(st.sampled_from([4, 16, 32, 64, 128])),
+            scheduling_policy=draw(st.sampled_from(["fcfs", "wfq", "priority"])),
+            max_active=draw(st.one_of(st.none(), st.integers(1, 6))),
+            preemptive=draw(st.booleans()),
+        )
+        lengths = [GENERATED_LENGTHS[kind] for kind in (
+            ("static", "static") if kv_policy == "static" else ("long", "any")
+        )]
+        tenants = tuple(
+            TenantSpec(
+                name=f"tenant{index}",
+                workload=f"lp{draw(lengths[index][0])}_ld{draw(lengths[index][1])}",
+                num_requests=draw(st.integers(3, 8)),
+                arrival_rate_per_s=draw(
+                    st.sampled_from([0.0, 300.0, 3000.0, 30000.0])
+                ),
+                weight=draw(st.sampled_from([1.0, 4.0])),
+                priority=draw(st.integers(0, 2)),
+            )
+            for index in range(draw(st.integers(1, 2)))
+        )
+        seed = draw(st.integers(0, 2**16))
+
+        def build():
+            return build_engine(engine_cls, tiny_arch, small_wafer_config,
+                                kv_policy, **config)
+
+        fast, scalar = build(), build()
+        outcomes = []
+        for run in (fast.run, scalar.run_scalar):
+            trace = multi_tenant_stream(tenants, seed=seed).materialize()
+            try:
+                outcomes.append(run(trace))
+            except SimulationError as error:
+                outcomes.append(f"{type(error).__name__}: {error}")
+        result_fast, result_scalar = outcomes
+        if isinstance(result_fast, str) or isinstance(result_scalar, str):
+            assert result_fast == result_scalar
+            event("raised")  # --hypothesis-show-statistics reports the mix
+        else:
+            event(f"served; splits {bool(result_fast.extra['split_epochs'])}, "
+                  f"evictions {bool(result_fast.evictions)}")
+            assert_bitwise_equal(result_fast, result_scalar)
+            assert result_fast.extra == result_scalar.extra
+            assert {name: t.as_dict() for name, t in result_fast.tenants.items()} == {
+                name: t.as_dict() for name, t in result_scalar.tenants.items()
+            }
+        assert_kv_state_equal(fast, scalar)
+        assert not plan_rows_check.mismatches, plan_rows_check.mismatches[:3]
 
 
 class TestCheckpointResume:

@@ -1,8 +1,11 @@
 """Tests for pipeline-engine internals: caching, budgets, livelock handling."""
 
+import math
+from itertools import compress
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -10,8 +13,10 @@ from repro.kvcache.manager import DistributedKVCacheManager
 from repro.pipeline.engine import (
     EpochPlan,
     PipelineConfig,
+    PlanRows,
     PrefillSegments,
-    context_weighted,
+    _doubled_count,
+    _halved,
 )
 from repro.pipeline.sequence_grained import SequenceGrainedPipeline
 from repro.pipeline.stages import TokenCostModel
@@ -122,23 +127,48 @@ class TestEpochPlanBudgets:
         assert plan.split is False
 
 
+#: split fractions: anywhere strictly between 0 and 1
+FRACTIONS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 @st.composite
 def epoch_states(draw):
-    """Plan rows and budgets of one epoch, plus which sequences advanced."""
+    """One epoch's takes over drawn rows, plus which sequences advanced.
+
+    Each budget is drawn on its own anywhere up to what remains, so takes
+    occur that no plan derives (a zero budget with tokens left, say); the
+    context sums accept any takes.  Prompt tokens go first:
+    ``p = min(b, rp)``, ``d = b − p``."""
     count = draw(st.integers(1, 48))
     column = st.lists(st.integers(0, 4096), min_size=count, max_size=count)
     remaining_prefill, remaining_decode = draw(column), draw(column)
     context = draw(st.lists(st.integers(0, 2**30), min_size=count, max_size=count))
-    budget = [
+    budgets = [
         draw(st.integers(0, prefill + decode))
         for prefill, decode in zip(remaining_prefill, remaining_decode)
     ]
-    advanced = draw(st.lists(st.booleans(), min_size=count, max_size=count))
-    rows = np.array(
-        [remaining_prefill, remaining_decode, context, [0] * count, [1] * count],
-        dtype=np.int64,
+    prefill_takes = list(map(min, budgets, remaining_prefill))
+    decode_takes = [budget - take for budget, take in zip(budgets, prefill_takes)]
+    rows = PlanRows(
+        remaining_prefill, remaining_decode, context, [0] * count, [1] * count
     )
-    return rows, np.array(budget, dtype=np.int64), np.array(advanced)
+    plan = EpochPlan(budgets, prefill_takes, decode_takes, [], rows)
+    advanced = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return plan, advanced
+
+
+@st.composite
+def derived_plans(draw):
+    """One epoch's plan as the planner leaves it -- every budget
+    ``min(chunk, remaining)``, maybe truncated at a split -- over drawn rows."""
+    count = draw(st.integers(1, 48))
+    column = st.lists(st.integers(0, 4096), min_size=count, max_size=count)
+    rows = PlanRows(draw(column), draw(column), [0] * count, [0] * count, [1] * count)
+    plan = EpochPlan.derive(rows, draw(st.integers(1, 8192)))
+    fraction = draw(st.one_of(st.none(), FRACTIONS))
+    if fraction is not None and any(plan.budgets):
+        plan = plan.truncated(fraction)
+    return plan
 
 
 def historical_sums(context, takes):
@@ -148,40 +178,65 @@ def historical_sums(context, takes):
     duration added the two per-row pairwise sums, the tally took a
     sequential ``cumsum`` over the segments interleaved per sequence.
     """
+    takes = np.array(takes, dtype=np.int64)
     start = np.empty_like(takes)
     start[0] = context
-    start[1] = context + takes[0]
+    start[1] = start[0] + takes[0]
     terms = (start + (takes - 1) / 2.0) * takes
     prefill, decode = np.add.reduce(terms, axis=1)
     return float(prefill + decode), float(np.cumsum(terms.T)[-1])
 
 
+def placeholders(count):
+    """Sequences for a tally whose rows come from its plan alone."""
+    return [
+        Sequence(Request(request_id=index, prefill_length=1, decode_length=1))
+        for index in range(count)
+    ]
+
+
 class TestExactContextSums:
-    """The integer context-weighted sum equals the historical float sums."""
+    """The integer context-weighted sums -- the plan's over every planned
+    take, the tally's over the takes of the sequences that advanced --
+    equal the historical float sums."""
+
+    @pytest.fixture
+    def engine(self, tiny_arch, small_wafer_config):
+        return make_engine(tiny_arch, small_wafer_config)
 
     @given(state=epoch_states())
-    @settings(max_examples=300, deadline=None)
-    def test_integer_sum_matches_float_forms_bitwise(self, state):
-        rows, budget, advanced = state
-        plan = EpochPlan(budget=budget, takes=np.empty((2, len(budget)), np.int64),
-                         rows=rows)
-        plan.derive_takes()
+    # `_tally` leaves the engine as it was: sharing it across examples is safe
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_integer_sum_matches_float_forms_bitwise(self, engine, state):
+        plan, advanced = state
+        rows = plan.rows
+        planned = (plan.prefill_takes, plan.decode_takes)
+        moved = tuple(
+            [take if live else 0 for take, live in zip(row, advanced)]
+            for row in planned
+        )
+        tally, _ = engine._tally(
+            placeholders(len(advanced)), plan, *moved, [], [], True
+        )
         # The planned duration sums every planned take, the tally the takes
         # of the sequences that advanced.  Both callers return before
         # summing an epoch without tokens.
-        for takes in (plan.takes, plan.takes * advanced):
-            if not takes.any():
-                continue
-            value = context_weighted(takes[0] + takes[1], plan.context)
-            for historical in historical_sums(plan.context, takes):
-                assert value.hex() == historical.hex()
+        for takes, value in (
+            (planned, _halved(_doubled_count(plan.budgets, rows.context))),
+            (moved, tally.context_weighted),
+        ):
+            if any(takes[0]) or any(takes[1]):
+                for historical in historical_sums(rows.context, takes):
+                    assert value.hex() == historical.hex()
 
     def test_exactness_bound(self):
         # Σ b·(2c + b − 1) = 1·(2·(2**52 − 1) + 0) = 2**53 − 2: just inside.
-        one = np.ones(1, dtype=np.int64)
-        assert context_weighted(one, one * (2**52 - 1)) == 2**52 - 1
+        assert _halved(_doubled_count([1], [2**52 - 1])) == 2**52 - 1
         with pytest.raises(SimulationError, match="exactly"):
-            context_weighted(one, one * 2**52)  # doubled sum 2**53
+            _halved(_doubled_count([1], [2**52]))  # doubled sum 2**53
 
     def test_epoch_past_the_bound_raises(self, tiny_arch, small_wafer_config):
         """Neither the planned duration nor the tally rounds silently."""
@@ -193,7 +248,9 @@ class TestExactContextSums:
         with pytest.raises(SimulationError, match="exactly"):
             engine._planned_duration(plan)
         with pytest.raises(SimulationError, match="exactly"):
-            engine._tally([seq], plan, plan.takes, *plan.takes.tolist(), [], False)
+            engine._tally(
+                [seq], plan, plan.prefill_takes, plan.decode_takes, [], [], False
+            )
 
 
 #: context quanta the tally is checked at: powers of two and not
@@ -212,30 +269,27 @@ def planned_epochs(draw, quantum=None):
     chunk = draw(st.integers(1, 300))
     fraction = draw(st.one_of(st.none(), st.floats(0.001, 0.999)))
     remaining = st.one_of(st.just(0), st.integers(1, 400))
-    columns: list[list[int]] = [[], [], [], [], []]
+    rows = PlanRows([], [], [], [], [])
     for _ in range(count):
         prefill, decode = draw(remaining), draw(remaining)
-        columns[0].append(prefill)
-        columns[1].append(decode)
-        columns[2].append(draw(st.one_of(st.just(0), st.integers(0, 6000))))
-        columns[3].append(draw(st.sampled_from([0, 0, 3])))
-        columns[4].append(prefill + draw(st.integers(1, 50)))
-    rows = np.array(columns, dtype=np.int64)
-    budget = np.minimum(chunk, rows[0] + rows[1])
-    if fraction is not None:
-        budget = np.where(
-            budget > 0, np.maximum(1, np.floor(fraction * budget).astype(np.int64)), 0
-        )
-    plan = EpochPlan(budget=budget, takes=np.empty((2, count), np.int64), rows=rows)
-    plan.derive_takes()
+        rows.remaining_prefill.append(prefill)
+        rows.remaining_decode.append(decode)
+        rows.context.append(draw(st.one_of(st.just(0), st.integers(0, 6000))))
+        rows.generated.append(draw(st.sampled_from([0, 0, 3])))
+        rows.prefill_length.append(prefill + draw(st.integers(1, 50)))
+    plan = EpochPlan.derive(rows, chunk)
+    if fraction is not None and any(plan.budgets):
+        plan = plan.truncated(fraction)
     if quantum is not None:
-        for index, (prefill, decode) in enumerate(plan.takes.T.tolist()):
+        for index, (prefill, decode) in enumerate(
+            zip(plan.prefill_takes, plan.decode_takes)
+        ):
             # An odd take from `start` ties when 2·start = (2k + 1)·q − take + 1.
             segment = draw(st.sampled_from(["none", "prefill", "decode"]))
             take, before = (prefill, 0) if segment == "prefill" else (decode, prefill)
             if segment != "none" and take % 2 == 1:
                 k = draw(st.integers(10, 40))
-                plan.context[index] = ((2 * k + 1) * quantum - take + 1) // 2 - before
+                rows.context[index] = ((2 * k + 1) * quantum - take + 1) // 2 - before
     return plan
 
 
@@ -245,11 +299,11 @@ def scalar_walk(engine, snapshot, plan, advanced):
     ``_quantize(avg)``, summed one segment at a time in snapshot order."""
     tokens, weighted, bins = 0, 0.0, {}
     prefill_segments, decoders, longest, first_decoders = [], 0, 0, []
-    prefills, decodes = plan.takes.tolist()
+    prefills, decodes = plan.prefill_takes, plan.decode_takes
     for index, sequence in enumerate(snapshot):
         if not advanced[index]:
             continue
-        start = int(plan.context[index])
+        start = plan.rows.context[index]
         for prefill, count in ((True, prefills[index]), (False, decodes[index])):
             if not count:
                 continue
@@ -264,7 +318,7 @@ def scalar_walk(engine, snapshot, plan, advanced):
             else:
                 decoders += 1
                 longest = max(longest, count)
-        if plan.generated[index] == 0 and decodes[index]:
+        if plan.rows.generated[index] == 0 and decodes[index]:
             first_decoders.append(sequence)
     return (tokens, weighted, bins, PrefillSegments.of(prefill_segments), decoders,
             longest, first_decoders)
@@ -273,7 +327,8 @@ def scalar_walk(engine, snapshot, plan, advanced):
 class TestTallyMatchesScalarWalk:
     """The fast tally against the scalar path's segment walk, field by field:
     bin keys, counts and first-touch order, the context-weighted sum, the
-    decoders, the first decoders and the prefill arrays."""
+    decoders, the first decoders and the prefill lists -- plus the rows it
+    carries into the next epoch."""
 
     @staticmethod
     def _engine(engine_cls, arch, wafer_config, quantum):
@@ -298,7 +353,8 @@ class TestTallyMatchesScalarWalk:
     ):
         quantum = data.draw(st.sampled_from(TALLY_QUANTA))
         plan = data.draw(planned_epochs(quantum))
-        count = len(plan.budget)
+        rows = plan.rows
+        count = len(plan.budgets)
         # A disturbed epoch: some sequences did not advance, and some that
         # did were evicted afterwards (their prompt starts over).
         disturbed = data.draw(st.booleans())
@@ -309,25 +365,43 @@ class TestTallyMatchesScalarWalk:
             ))
             if disturbed else ["advanced"] * count
         )
-        advanced = (plan.budget > 0) & np.array([s != "skipped" for s in states])
-        takes = plan.takes * advanced
+        advanced = [
+            budget > 0 and state != "skipped"
+            for budget, state in zip(plan.budgets, states)
+        ]
+        prefill_takes, decode_takes = (
+            [take if live else 0 for take, live in zip(row, advanced)]
+            for row in (plan.prefill_takes, plan.decode_takes)
+        )
+        # Sequences whose takes cover all they had left may complete, in any
+        # position: the carried rows drop them, the prefill segments do not.
+        completing = [
+            index for index, (budget, prefill, decode) in enumerate(
+                zip(plan.budgets, rows.remaining_prefill, rows.remaining_decode)
+            )
+            if budget and budget == prefill + decode
+        ]
+        completed = sorted(data.draw(
+            st.lists(st.sampled_from(completing), unique=True)
+            if completing and not disturbed else st.just([])
+        ))
         snapshot = []
         for index, state in enumerate(states):
-            prompt = int(plan.prefill_length[index])
+            prompt = rows.prefill_length[index]
             sequence = Sequence(Request(
                 request_id=index, prefill_length=prompt,
-                decode_length=int(plan.remaining_decode[index]) + 1,
+                decode_length=rows.remaining_decode[index] + 1,
             ))
             remaining = {
-                "advanced": int(plan.remaining_prefill[index] - takes[0][index]),
-                "skipped": int(plan.remaining_prefill[index]),
+                "advanced": rows.remaining_prefill[index] - prefill_takes[index],
+                "skipped": rows.remaining_prefill[index],
                 "evicted": prompt,
             }[state]
             sequence.prefill_progress = prompt - remaining
             snapshot.append(sequence)
         engine = self._engine(engine_cls, tiny_arch, small_wafer_config, quantum)
-        tally = engine._tally(
-            snapshot, plan, takes, *takes.tolist(), [], disturbed
+        tally, carried = engine._tally(
+            snapshot, plan, prefill_takes, decode_takes, [], completed, disturbed
         )
         (tokens, weighted, bins, segments, decoders, longest,
          first_decoders) = scalar_walk(engine, snapshot, plan, advanced)
@@ -344,11 +418,27 @@ class TestTallyMatchesScalarWalk:
             # Every sequence's row: the prefilling ones must be the walk's,
             # and every other one adds no prompt in flight.
             assert engine.full_prefill_rows and not disturbed
-            prefilling = ours.takes > 0
-            assert not ours.remaining[~prefilling].any()
-            ours = PrefillSegments(*(array[prefilling] for array in ours))
-        for array, expected in zip(ours, segments):
-            assert array.tolist() == expected.tolist()
+            prefilling = [take > 0 for take in ours.takes]
+            assert not any(
+                remaining for remaining, live in zip(ours.remaining, prefilling)
+                if not live
+            )
+            ours = PrefillSegments(*(list(compress(row, prefilling)) for row in ours))
+        assert list(ours) == list(segments)
+        if disturbed:
+            assert carried is None
+            return
+        advanced_rows = [
+            [left - take for left, take in zip(rows.remaining_prefill, prefill_takes)],
+            [left - take for left, take in zip(rows.remaining_decode, decode_takes)],
+            [start + budget for start, budget in zip(rows.context, plan.budgets)],
+            [done + take for done, take in zip(rows.generated, decode_takes)],
+            rows.prefill_length,
+        ]
+        assert list(carried) == [
+            [value for index, value in enumerate(row) if index not in completed]
+            for row in advanced_rows
+        ]
 
 
 class TestTokenGrainedFullRows:
@@ -364,21 +454,23 @@ class TestTokenGrainedFullRows:
         self, tiny_arch, small_wafer_config, plan
     ):
         engine = make_engine(tiny_arch, small_wafer_config)
-        prefill, decode = plan.takes
-        prefilling = prefill > 0
-        decoders = int(np.count_nonzero(decode))
+        rows = plan.rows
+        prefill = plan.prefill_takes
+        decoders = len(plan.decode_takes) - plan.decode_takes.count(0)
         # as planned (remaining before the epoch), and at close (after it)
-        for remaining in (plan.remaining_prefill, plan.remaining_prefill - prefill):
-            full = PrefillSegments(prefill, remaining, plan.prefill_length)
+        after = [left - take for left, take in zip(rows.remaining_prefill, prefill)]
+        for remaining in (rows.remaining_prefill, after):
+            full = PrefillSegments(prefill, remaining, rows.prefill_length)
             masked = PrefillSegments(
-                prefill[prefilling], remaining[prefilling],
-                plan.prefill_length[prefilling],
+                [take for take in prefill if take],
+                [left for take, left in zip(prefill, remaining) if take],
+                [length for take, length in zip(prefill, rows.prefill_length) if take],
             )
             assert (
                 engine.planned_utilization(full, decoders)
                 == engine.planned_utilization(masked, decoders)
             )
-        if not plan.budget.any():
+        if not any(plan.budgets):
             return
         planned = engine._planned_duration(plan)
         engine.full_prefill_rows = False
@@ -386,21 +478,166 @@ class TestTokenGrainedFullRows:
 
 
 class TestEventMask:
-    @given(state=epoch_states())
+    @given(plan=derived_plans())
     @settings(max_examples=150, deadline=None)
-    def test_events_are_phase_ends_and_completions(self, state):
-        """Any budget up to what remains: the events are today's union of
-        the completing sequences and the ones whose prompt ends."""
-        rows, budget, _ = state
-        plan = EpochPlan(budget=budget, takes=np.empty((2, len(budget)), np.int64),
-                         rows=rows)
-        plan.derive_takes()
-        prefill = plan.takes[0]
-        completing = (budget > 0) & (
-            budget == plan.remaining_prefill + plan.remaining_decode
+    def test_events_are_phase_ends_and_completions(self, plan):
+        """Full or truncated budgets: the events are the union of the
+        completing sequences and the ones whose prompt ends."""
+        rows = plan.rows
+        assert plan.events == [
+            index
+            for index, (budget, prefill, remaining_prefill, remaining_decode)
+            in enumerate(zip(
+                plan.budgets, plan.prefill_takes, rows.remaining_prefill,
+                rows.remaining_decode,
+            ))
+            if (budget > 0 and budget == remaining_prefill + remaining_decode)
+            or (prefill > 0 and prefill == remaining_prefill)
+        ]
+
+
+@st.composite
+def active_sequences(draw):
+    """Sequences in states a run leaves active: mid-prompt, re-prefilling
+    after an eviction, or decoding; every one has a token left."""
+    sequences = []
+    for request_id in range(draw(st.integers(1, 40))):
+        prompt, output = draw(st.integers(1, 600)), draw(st.integers(0, 600))
+        sequence = Sequence(Request(
+            request_id=request_id, prefill_length=prompt, decode_length=output
+        ))
+        sequence.start()
+        if output > 1 and draw(st.booleans()):
+            sequence.advance_tokens(prompt + draw(st.integers(1, output - 1)))
+            sequence.evict()
+            sequence.start()
+        sequence.advance_tokens(draw(st.integers(0, sequence.remaining_tokens - 1)))
+        sequences.append(sequence)
+    return sequences
+
+
+def fractions_near(largest):
+    """Split fractions in (0, 1): any, and within one ulp of ``k / largest``
+    for small k (at k = 1 the largest budget truncates to about one token)."""
+    near = st.builds(
+        lambda k, step: [
+            math.nextafter(k / largest, 0.0), k / largest,
+            math.nextafter(k / largest, 1.0),
+        ][step],
+        st.integers(1, 3), st.integers(0, 2),
+    )
+    return st.one_of(near, FRACTIONS).filter(lambda f: 0.0 < f < 1.0)
+
+
+class TestPlanProperties:
+    """The one-pass plan against the per-sequence rule it implements."""
+
+    @given(sequences=active_sequences(), chunk=st.integers(1, 300))
+    # the fixtures are read-only here: sharing them across examples is safe
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_plan_is_the_per_sequence_rule(
+        self, tiny_arch, small_wafer_config, sequences, chunk
+    ):
+        engine = make_engine(tiny_arch, small_wafer_config, chunk=chunk)
+        plan = engine._plan_epoch(sequences, 0.0)  # nothing waits: no split
+        assert not plan.split
+        budgets, prefills, decodes, events = [], [], [], []
+        for index, s in enumerate(sequences):
+            budget = min(s.remaining_prefill + s.remaining_decode, chunk)
+            prefill = min(budget, s.remaining_prefill)
+            decode = budget - prefill
+            assert decode <= s.remaining_decode
+            budgets.append(budget)
+            prefills.append(prefill)
+            decodes.append(decode)
+            if (prefill and prefill == s.remaining_prefill) or (
+                budget == s.remaining_tokens
+            ):
+                events.append(index)
+        assert (plan.budgets, plan.prefill_takes, plan.decode_takes) == (
+            budgets, prefills, decodes
         )
-        phase_end = (prefill > 0) & (prefill == plan.remaining_prefill)
-        assert plan.events().tolist() == (completing | phase_end).tolist()
+        assert plan.events == events
+        assert list(plan.rows) == [
+            [s.remaining_prefill for s in sequences],
+            [s.remaining_decode for s in sequences],
+            [s.context_length for s in sequences],
+            [s.generated_tokens for s in sequences],
+            [s.request.prefill_length for s in sequences],
+        ]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_split_floors_at_one_token(self, data):
+        """A split budget is ``max(int(f·b), 1)``, also where every budget
+        truncates below one token, and the takes, events and doubled count
+        follow the per-sequence rule of the scaled budgets."""
+        count = data.draw(st.integers(1, 40))
+        chunk = data.draw(st.integers(1, 300))
+        column = st.lists(
+            st.one_of(st.just(0), st.integers(1, 400)), min_size=count, max_size=count
+        )
+        prefills, decodes = data.draw(column), data.draw(column)
+        # Every sequence keeps a token left, but now and then one has none
+        # (and so no budget), which a split must leave at no tokens.
+        decodes = [
+            decode or int(not prefill) for prefill, decode in zip(prefills, decodes)
+        ]
+        if data.draw(st.integers(0, 3)) == 0:
+            empty = data.draw(st.integers(0, count - 1))
+            prefills[empty] = decodes[empty] = 0
+        rows = PlanRows(
+            prefills, decodes,
+            data.draw(st.lists(st.integers(0, 6000), min_size=count, max_size=count)),
+            [0] * count, [prefill + 1 for prefill in prefills],
+        )
+        plan = EpochPlan.derive(rows, chunk)
+        assume(any(plan.budgets))
+        fraction = data.draw(fractions_near(max(plan.budgets)))
+        split = plan.truncated(fraction)
+        assert split.split and split.rows is rows
+        assert split.budgets == [
+            max(int(fraction * budget), 1) if budget else 0 for budget in plan.budgets
+        ]
+        events = []
+        for index, (budget, prefill, decode, remaining_prefill, remaining_decode) in (
+            enumerate(zip(
+                split.budgets, split.prefill_takes, split.decode_takes,
+                rows.remaining_prefill, rows.remaining_decode,
+            ))
+        ):
+            assert prefill == min(budget, remaining_prefill)
+            assert decode == budget - prefill <= remaining_decode
+            if (prefill and prefill == remaining_prefill) or (
+                budget and budget == remaining_prefill + remaining_decode
+            ):
+                events.append(index)
+        assert split.events == events
+        assert _doubled_count(split.budgets, rows.context) == sum(
+            budget * (2 * start + budget - 1)
+            for budget, start in zip(split.budgets, rows.context)
+        )
+
+    @given(
+        quantum=st.integers(1, 4096),
+        k=st.integers(0, 2**40),
+        offset=st.integers(-4096, 4096),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bin_key_rounds_like_rint(self, quantum, k, offset):
+        """``round(s / 2q)``, the tally's bin index of a doubled start ``s``,
+        is ``np.rint`` of the same quotient: half to even on every tie
+        ``s ≡ q (mod 2q)``, and nearest elsewhere."""
+        width = 2 * quantum
+        tie = (2 * k + 1) * quantum
+        assert round(tie / width) == k + (k % 2)
+        for doubled in (tie, max(0, tie + offset)):
+            assert round(doubled / width) == int(
+                np.rint(np.array([doubled], dtype=np.int64) / width)[0]
+            )
 
 
 class TestRunEdgeCases:
