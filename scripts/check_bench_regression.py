@@ -4,8 +4,9 @@
 Compares a freshly generated bench report (``BENCH_LATEST.json``, written by
 ``scripts/bench.sh``) against the committed ``BENCH_PR<n>.json`` trajectory —
 the highest-numbered report in the *git HEAD tree* (i.e. the report the
-current PR itself committed; the working-tree copy is not trusted because the
-fresh bench run overwrites it) — and fails when:
+current PR itself committed; the working-tree copy is not trusted because a
+bench run with ``REPRO_BENCH_OUTPUT=BENCH_PR<n>.json`` rewrites it) — and
+fails when:
 
 * any *deterministic* headline metric shared by both reports differs
   bitwise — the simulator is deterministic, so throughput / energy /
@@ -31,7 +32,7 @@ silently compare different simulations, so that is an error, not a skip.
 
 Usage::
 
-    scripts/bench.sh                      # writes BENCH_PR<n>.json + BENCH_LATEST.json
+    scripts/bench.sh                      # writes BENCH_LATEST.json
     python scripts/check_bench_regression.py            # compare vs trajectory
     python scripts/check_bench_regression.py --fresh BENCH_LATEST.json \
         --baseline BENCH_PR4.json --wallclock-tolerance 0.25
@@ -91,12 +92,11 @@ def _pick_latest(names) -> str | None:
 def latest_committed_report(root: Path) -> tuple[str, dict] | None:
     """The *committed* BENCH_PR<n>.json with the highest PR number.
 
-    Read from the git HEAD tree, not the working tree: ``scripts/bench.sh``
-    writes its fresh report to the default ``BENCH_PR<n>.json`` name, which
-    overwrites the checked-out baseline on disk — a working-tree glob would
-    then compare the fresh report against itself and the gate could never
-    fail.  Falls back to the filesystem (with a loud warning) only when git
-    is unavailable.
+    Read from the git HEAD tree, not the working tree: a bench run with
+    ``REPRO_BENCH_OUTPUT=BENCH_PR<n>.json`` overwrites the checked-out
+    baseline on disk — a working-tree glob would then compare the fresh
+    report against itself and the gate could never fail.  Falls back to the
+    filesystem (with a loud warning) only when git is unavailable.
     """
     try:
         names = subprocess.run(

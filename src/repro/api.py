@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import re
 import threading
 import types
@@ -412,10 +411,6 @@ class DeploymentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "DeploymentSpec":
         return _from_jsonable(cls, dict(data))
-
-    def canonical_json(self) -> str:
-        """Stable JSON string of the spec (sweep-cache key material)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     # ---------------------------------------------------------- conveniences
 

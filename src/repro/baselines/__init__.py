@@ -18,7 +18,6 @@ from .multi_die import (
     ABLATION_STEPS,
     ablation_config,
     ablation_system,
-    multi_die_baseline,
 )
 from .tpu import TPUv4System, tpu_v4_hardware
 
@@ -45,5 +44,4 @@ __all__ = [
     "ABLATION_STEPS",
     "ablation_config",
     "ablation_system",
-    "multi_die_baseline",
 ]

@@ -19,13 +19,12 @@ the inter-device interconnect.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..models.architectures import ModelArch
 from ..results import EnergyBreakdown, RunResult
-from ..units import GB, PJ, TERA
+from ..units import GB, TERA
 from ..workload.generator import Trace
 
 
@@ -313,19 +312,6 @@ class BaselineSystem:
         )
 
 
-def adjust_for_quantization(
-    hardware: BaselineHardware, weight_bytes: int, kv_bytes: int
-) -> BaselineHardware:
-    """Return a copy of ``hardware`` deployed with different weight/KV precision."""
-    return replace(
-        hardware, weight_bytes_per_param=weight_bytes, kv_bytes_per_element=kv_bytes
-    )
-
-
 def tops(value: float) -> float:
     """Convenience: convert TOPS (ops/s) to MAC/s."""
     return value * TERA / 2.0
-
-
-def pj(value: float) -> float:
-    return value * PJ

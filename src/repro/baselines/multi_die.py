@@ -57,13 +57,6 @@ def ablation_config(
     return config
 
 
-def multi_die_baseline(
-    arch: ModelArch, pipeline: PipelineConfig | None = None
-) -> OuroborosSystem:
-    """The fully stripped-down baseline system (first bar of Fig. 15)."""
-    return OuroborosSystem(arch, ablation_config("Baseline", pipeline))
-
-
 def ablation_system(
     arch: ModelArch, step: str, pipeline: PipelineConfig | None = None
 ) -> OuroborosSystem:

@@ -74,7 +74,7 @@ Examples::
     python -m repro client replay llama-13b --workload lp128_ld2048 --spawn
     python -m repro client status --connect 127.0.0.1:7431
     python -m repro serve llama-13b --requests 1000000 --arrival-rate 90
-    python -m repro bench --output BENCH_PR23.json
+    python -m repro bench
     python -m repro lint --json
 """
 
@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="requests for the streaming-scale stage (default: "
                             "$REPRO_BENCH_STREAM_REQUESTS or 20000; the "
                             "headline run uses 1000000)")
-    bench.add_argument("--output", default="BENCH_PR23.json",
-                       help="path of the JSON report (default: BENCH_PR23.json)")
+    bench.add_argument("--output", default="BENCH_LATEST.json",
+                       help="path of the JSON report (default: BENCH_LATEST.json)")
     bench.add_argument("--models", nargs="*", default=None,
                        help="restrict the grid to these models")
     bench.add_argument("--label", default="headline",

@@ -83,11 +83,15 @@ class OuroborosSystem:
         fault_plan=None,
         suspend_at_epoch: int | None = None,
         resume_from=None,
+        arrival_feed=None,
+        scalar: bool = False,
     ) -> RunResult:
         """Serve a request trace and return throughput / energy results.
 
         ``fault_plan`` injects runtime faults; ``suspend_at_epoch`` /
-        ``resume_from`` checkpoint and resume the run (see
+        ``resume_from`` checkpoint and resume the run; ``arrival_feed``
+        ingests requests live into an initially empty ``trace`` (the daemon
+        path); ``scalar`` runs the scalar reference engine (see
         :meth:`repro.sim.engine.BuiltOuroboros.serve`).
         """
         return self.built.serve(
@@ -96,29 +100,7 @@ class OuroborosSystem:
             fault_plan=fault_plan,
             suspend_at_epoch=suspend_at_epoch,
             resume_from=resume_from,
-        )
-
-    def serve_live(
-        self,
-        trace: Trace | StreamingTrace,
-        workload_name: str | None = None,
-        *,
-        arrival_feed,
-        fault_plan=None,
-        resume_from=None,
-        scalar: bool = False,
-    ) -> RunResult:
-        """Serve with live ingestion through an arrival feed (the daemon path).
-
-        ``trace`` starts empty and accumulates requests as the feed releases
-        them; see :meth:`repro.sim.engine.BuiltOuroboros.serve_live`.
-        """
-        return self.built.serve_live(
-            trace,
-            workload_name,
             arrival_feed=arrival_feed,
-            fault_plan=fault_plan,
-            resume_from=resume_from,
             scalar=scalar,
         )
 

@@ -24,7 +24,6 @@ from ..mapping.baselines import (
     ouroboros_volume,
     waferllm_volume,
 )
-from ..mapping.intercore import map_model
 from ..models.architectures import ModelArch
 from ..models.layers import cores_per_block
 from .common import DEFAULT_SETTINGS, ExperimentSettings, FigureResult, resolve_model
@@ -113,8 +112,3 @@ def mapping_quality_summary(result: MappingResult) -> dict[str, float]:
         "reduction_vs_cerebras": result.average_reduction_vs("Cerebras"),
         "reduction_vs_waferllm": result.average_reduction_vs("WaferLLM"),
     }
-
-
-def _unused_map_model_reference() -> None:  # pragma: no cover - documentation aid
-    """The mapping itself is exercised through :func:`ouroboros_volume`."""
-    _ = map_model

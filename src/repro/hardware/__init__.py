@@ -13,10 +13,9 @@ from .config import (
     default_wafer_config,
     with_row_activation_ratio,
 )
-from .core import CIMCore, CoreRole, SfuCost
+from .core import CIMCore, SfuCost
 from .crossbar import (
     Crossbar,
-    CrossbarMode,
     GemvCost,
     effective_sram_ratio,
     throughput_vs_activation_ratio,
@@ -38,7 +37,7 @@ from .htree import (
     build_tree,
     evaluate_tree,
 )
-from .noc import NoCConfig, NoCModel, NoCTrafficStats, TransferCost
+from .noc import NoCConfig, NoCModel, TransferCost
 from .wafer import Wafer
 from .yieldmodel import DefectMap, expected_defective_cores, murphy_yield, sample_defect_map
 
@@ -50,10 +49,8 @@ __all__ = [
     "default_wafer_config",
     "with_row_activation_ratio",
     "CIMCore",
-    "CoreRole",
     "SfuCost",
     "Crossbar",
-    "CrossbarMode",
     "GemvCost",
     "effective_sram_ratio",
     "throughput_vs_activation_ratio",
@@ -74,7 +71,6 @@ __all__ = [
     "evaluate_tree",
     "NoCConfig",
     "NoCModel",
-    "NoCTrafficStats",
     "TransferCost",
     "Wafer",
     "DefectMap",

@@ -1,31 +1,22 @@
-"""Behavioural model of a CIM core (Fig. 2c).
+"""Cost model of a CIM core (Fig. 2c).
 
 A core bundles 32 crossbars behind a 1024-bit H-tree, a 64-lane SFU for
 softmax/layernorm style operations, ping-pong input/output buffers and a
-control unit.  The core is the unit of the inter-core mapping: a core either
-holds a weight tile of one layer (FFN mode crossbars), serves as KV-cache
-storage-and-compute (attention mode crossbars), or is idle/defective.
+control unit.  :class:`CIMCore` prices the work a core does: a GEMV tiled
+over its crossbars, an SFU pass and a buffer write.  No state is kept per
+core: which cores hold weight tiles and which hold KV blocks is kept as
+core-id lists in :class:`~repro.mapping.intercore.WaferMapping`, and which
+are defective as the wafer's healthy-core table.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from ..errors import CapacityError
 from .config import CoreConfig
-from .crossbar import Crossbar, CrossbarMode, GemvCost
+from .crossbar import Crossbar, GemvCost
 from .energy import EnergyModel
-
-
-class CoreRole(enum.Enum):
-    """What a core has been assigned to do by the mapper."""
-
-    UNASSIGNED = "unassigned"
-    WEIGHT = "weight"
-    KV_CACHE = "kv_cache"
-    DEFECTIVE = "defective"
 
 
 @dataclass
@@ -38,7 +29,7 @@ class SfuCost:
 
 
 class CIMCore:
-    """A single CIM core composed of crossbars, buffers and an SFU."""
+    """The GEMV, SFU and buffer costs of one CIM core."""
 
     def __init__(
         self,
@@ -49,95 +40,8 @@ class CIMCore:
         self.core_id = core_id
         self.config = config or CoreConfig()
         self.energy = energy or EnergyModel()
-        self.role = CoreRole.UNASSIGNED
-        self.crossbars = [
-            Crossbar(self.config.crossbar, self.energy)
-            for _ in range(self.config.crossbars_per_core)
-        ]
-        #: label of the layer tile mapped onto this core (set by the mapper)
-        self.assigned_tile: object | None = None
-
-    # ------------------------------------------------------------------ roles
-
-    def mark_defective(self) -> None:
-        self.role = CoreRole.DEFECTIVE
-        self.assigned_tile = None
-
-    def assign_weights(self, tile: object, weight_bytes: int) -> None:
-        """Assign a weight tile to this core, loading crossbars in FFN mode."""
-        if self.role is CoreRole.DEFECTIVE:
-            raise CapacityError(f"core {self.core_id} is defective")
-        if weight_bytes > self.weight_capacity_bytes:
-            raise CapacityError(
-                f"tile of {weight_bytes} bytes does not fit core capacity "
-                f"{self.weight_capacity_bytes}"
-            )
-        self.role = CoreRole.WEIGHT
-        self.assigned_tile = tile
-        remaining = weight_bytes
-        for crossbar in self.crossbars:
-            crossbar.mode = CrossbarMode.FFN
-            crossbar.reset_weights()
-            chunk = min(remaining, crossbar.config.weight_capacity_bytes)
-            if chunk > 0:
-                crossbar.load_weights(chunk)
-                remaining -= chunk
-        # remaining == 0 guaranteed by the capacity check above
-
-    def assign_kv_cache(self) -> None:
-        """Configure all crossbars of this core for dynamic KV storage."""
-        if self.role is CoreRole.DEFECTIVE:
-            raise CapacityError(f"core {self.core_id} is defective")
-        self.role = CoreRole.KV_CACHE
-        self.assigned_tile = None
-        for crossbar in self.crossbars:
-            crossbar.mode = CrossbarMode.ATTENTION
-            crossbar.reset_blocks()
-
-    def release(self) -> None:
-        """Return the core to the unassigned pool."""
-        if self.role is CoreRole.DEFECTIVE:
-            return
-        self.role = CoreRole.UNASSIGNED
-        self.assigned_tile = None
-        for crossbar in self.crossbars:
-            crossbar.reset_weights()
-            crossbar.reset_blocks()
-            crossbar.mode = CrossbarMode.FFN
-
-    @property
-    def is_available(self) -> bool:
-        return self.role is CoreRole.UNASSIGNED
-
-    @property
-    def is_defective(self) -> bool:
-        return self.role is CoreRole.DEFECTIVE
-
-    # -------------------------------------------------------------- capacities
-
-    @property
-    def weight_capacity_bytes(self) -> int:
-        return self.config.weight_capacity_bytes
-
-    @property
-    def weight_bytes_used(self) -> int:
-        return sum(crossbar.weight_bytes_used for crossbar in self.crossbars)
-
-    @property
-    def weight_bytes_free(self) -> int:
-        return self.weight_capacity_bytes - self.weight_bytes_used
-
-    @property
-    def total_logical_blocks(self) -> int:
-        return sum(
-            crossbar.config.attention_logical_blocks for crossbar in self.crossbars
-        )
-
-    @property
-    def free_logical_blocks(self) -> int:
-        if self.role is not CoreRole.KV_CACHE:
-            return 0
-        return sum(crossbar.free_blocks for crossbar in self.crossbars)
+        # Every crossbar of a core is identical: one prices them all.
+        self.crossbar = Crossbar(self.config.crossbar, self.energy)
 
     # ------------------------------------------------------------------ compute
 
@@ -157,8 +61,8 @@ class CIMCore:
 
         last_rows = input_dim - (row_tiles - 1) * cfg.weight_rows
         last_cols = output_dim - (col_tiles - 1) * cfg.weight_columns
-        full_tile = self.crossbars[0].gemv_cost(cfg.weight_rows, cfg.weight_columns)
-        edge_tile = self.crossbars[0].gemv_cost(last_rows, last_cols)
+        full_tile = self.crossbar.gemv_cost(cfg.weight_rows, cfg.weight_columns)
+        edge_tile = self.crossbar.gemv_cost(last_rows, last_cols)
 
         latency = waves * full_tile.latency_s if total_tiles > 1 else edge_tile.latency_s
         macs = float(input_dim * output_dim)
@@ -188,4 +92,4 @@ class CIMCore:
         return num_bytes * self.energy.sram_write_j_per_byte
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CIMCore(id={self.core_id}, role={self.role.value})"
+        return f"CIMCore(id={self.core_id})"

@@ -1,36 +1,28 @@
-"""Behavioural model of a single digital SRAM CIM crossbar (Fig. 10).
+"""Cost model of a single digital SRAM CIM crossbar (Fig. 10).
 
 A crossbar operates in one of two modes:
 
 * **FFN mode** -- the whole array persistently stores static weights and
   executes GEMV against them.
 * **Attention mode** -- the array is partitioned into logical blocks
-  (128 x 1024 with default parameters) that are dynamically allocated to
-  sequences by the distributed KV-cache manager.  Row/column-valid registers
-  mask out unallocated cells during computation, and the array cannot compute
-  and be written in the same cycle.
+  (128 x 1024 with default parameters) that hold KV entries.  Row/column-valid
+  registers mask out unallocated cells during computation, and the array
+  cannot compute and be written in the same cycle.
 
-The model tracks block occupancy, computes GEMV latency/energy for partial
-activations (only the valid rows need to be covered), and exposes the area
-trade-off behind the Fig. 11 row-activation-ratio sweep.
+The model prices a GEMV over partial activations (only the valid rows need
+to be covered) and an SRAM write, and exposes the area trade-off behind the
+Fig. 11 row-activation-ratio sweep.  Which blocks hold which sequence's KV
+entries is not tracked here: the KV-cache manager keeps that occupancy as
+per-unit arrays (see :mod:`repro.kvcache.manager`).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from ..errors import CapacityError, KVCacheError
 from .config import CrossbarConfig
-from .energy import CrossbarAreaModel, CrossbarEnergyModel, EnergyModel
-
-
-class CrossbarMode(enum.Enum):
-    """Operating mode of a crossbar."""
-
-    FFN = "ffn"
-    ATTENTION = "attention"
+from .energy import CrossbarAreaModel, EnergyModel
 
 
 @dataclass
@@ -44,114 +36,15 @@ class GemvCost:
 
 
 class Crossbar:
-    """A single crossbar with dynamic logical-block management."""
+    """The GEMV and write costs of one crossbar."""
 
     def __init__(
         self,
         config: CrossbarConfig | None = None,
         energy: EnergyModel | None = None,
-        mode: CrossbarMode = CrossbarMode.FFN,
     ) -> None:
         self.config = config or CrossbarConfig()
         self.energy = energy or EnergyModel()
-        self.mode = mode
-        # Per logical block: number of occupied rows (attention mode only).
-        self._block_rows_used: list[int] = [0] * self.config.attention_logical_blocks
-        # Owner tag per logical block (sequence id or None).
-        self._block_owner: list[int | None] = [None] * self.config.attention_logical_blocks
-        # FFN mode: bytes of static weights resident.
-        self._weight_bytes_used: int = 0
-
-    # ------------------------------------------------------------------ state
-
-    @property
-    def logical_block_rows(self) -> int:
-        """Rows per logical block in attention mode."""
-        return self.config.rows // self.config.attention_logical_blocks
-
-    @property
-    def free_blocks(self) -> int:
-        """Number of completely free logical blocks."""
-        return sum(1 for owner in self._block_owner if owner is None)
-
-    @property
-    def weight_bytes_used(self) -> int:
-        return self._weight_bytes_used
-
-    @property
-    def weight_bytes_free(self) -> int:
-        return self.config.weight_capacity_bytes - self._weight_bytes_used
-
-    def block_owner(self, block_index: int) -> int | None:
-        return self._block_owner[block_index]
-
-    def block_rows_used(self, block_index: int) -> int:
-        return self._block_rows_used[block_index]
-
-    # ------------------------------------------------------------- FFN weights
-
-    def load_weights(self, num_bytes: int) -> None:
-        """Load ``num_bytes`` of static weights (FFN mode)."""
-        if self.mode is not CrossbarMode.FFN:
-            raise KVCacheError("cannot load static weights into an attention-mode crossbar")
-        if num_bytes < 0:
-            raise ValueError("weight bytes must be non-negative")
-        if self._weight_bytes_used + num_bytes > self.config.weight_capacity_bytes:
-            raise CapacityError(
-                f"crossbar weight capacity exceeded: "
-                f"{self._weight_bytes_used + num_bytes} > {self.config.weight_capacity_bytes}"
-            )
-        self._weight_bytes_used += num_bytes
-
-    def reset_weights(self) -> None:
-        self._weight_bytes_used = 0
-
-    # ------------------------------------------------------ attention KV blocks
-
-    def allocate_block(self, owner: int) -> int:
-        """Allocate one free logical block to ``owner``; return its index."""
-        if self.mode is not CrossbarMode.ATTENTION:
-            raise KVCacheError("logical blocks only exist in attention mode")
-        for index, existing in enumerate(self._block_owner):
-            if existing is None:
-                self._block_owner[index] = owner
-                self._block_rows_used[index] = 0
-                return index
-        raise CapacityError("no free logical blocks in crossbar")
-
-    def release_block(self, block_index: int) -> None:
-        """Free a previously allocated logical block."""
-        if self._block_owner[block_index] is None:
-            raise KVCacheError(f"block {block_index} is not allocated")
-        self._block_owner[block_index] = None
-        self._block_rows_used[block_index] = 0
-
-    def release_owner(self, owner: int) -> int:
-        """Free every block owned by ``owner``; return how many were freed."""
-        freed = 0
-        for index, existing in enumerate(self._block_owner):
-            if existing == owner:
-                self.release_block(index)
-                freed += 1
-        return freed
-
-    def append_rows(self, block_index: int, rows: int) -> int:
-        """Append ``rows`` KV entries to a block; return rows actually stored."""
-        if self._block_owner[block_index] is None:
-            raise KVCacheError(f"block {block_index} is not allocated")
-        free = self.logical_block_rows - self._block_rows_used[block_index]
-        stored = min(free, rows)
-        self._block_rows_used[block_index] += stored
-        return stored
-
-    def block_free_rows(self, block_index: int) -> int:
-        if self._block_owner[block_index] is None:
-            return self.logical_block_rows
-        return self.logical_block_rows - self._block_rows_used[block_index]
-
-    def reset_blocks(self) -> None:
-        self._block_rows_used = [0] * self.config.attention_logical_blocks
-        self._block_owner = [None] * self.config.attention_logical_blocks
 
     # ------------------------------------------------------------------ compute
 

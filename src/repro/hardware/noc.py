@@ -8,18 +8,15 @@ per-hop latency/energy figures.  We model the mesh analytically: a transfer of
               + B / link_bandwidth
 
 and consumes ``B * hops`` bytes-hops of router/link energy plus a surcharge for
-each stitched die boundary.  Link faults are handled by re-routing on the mesh
-graph (networkx shortest path excluding faulty links), matching the paper's
-real-time routing-table reconfiguration.
+each stitched die boundary.  Routes are minimal XY routes; the weight-core
+recovery chain of Section 4.3.3 prices its hand-offs with
+:meth:`NoCModel.transfer_cost`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import networkx as nx
-
-from ..errors import ConfigurationError
 from ..units import GHZ, NS
 from .energy import EnergyModel
 from .wafer import Wafer
@@ -54,17 +51,6 @@ class TransferCost:
     num_bytes: float
 
 
-@dataclass
-class NoCTrafficStats:
-    """Aggregated traffic counters kept by the NoC model."""
-
-    total_bytes: float = 0.0
-    total_byte_hops: float = 0.0
-    total_transfers: int = 0
-    total_energy_j: float = 0.0
-    per_link_bytes: dict[tuple[int, int], float] = field(default_factory=dict)
-
-
 class NoCModel:
     """Mesh network model bound to a specific wafer."""
 
@@ -77,69 +63,14 @@ class NoCModel:
         self.wafer = wafer
         self.config = config or NoCConfig()
         self.energy = energy or wafer.energy
-        self.stats = NoCTrafficStats()
-        self._faulty_links: set[frozenset[int]] = set()
-        self._graph: nx.Graph | None = None
-
-    # ------------------------------------------------------------------ faults
-
-    def mark_link_faulty(self, core_a: int, core_b: int) -> None:
-        """Mark the mesh link between two adjacent cores as faulty."""
-        if self.wafer.manhattan(core_a, core_b) != 1:
-            raise ConfigurationError(
-                f"cores {core_a} and {core_b} are not mesh neighbours"
-            )
-        self._faulty_links.add(frozenset((core_a, core_b)))
-        self._graph = None
-
-    def clear_link_faults(self) -> None:
-        self._faulty_links.clear()
-        self._graph = None
-
-    @property
-    def faulty_links(self) -> set[frozenset[int]]:
-        return set(self._faulty_links)
-
-    def _mesh_graph(self) -> nx.Graph:
-        """Mesh graph with faulty links removed (built lazily)."""
-        if self._graph is None:
-            graph = nx.Graph()
-            for core_id in range(self.wafer.num_cores):
-                graph.add_node(core_id)
-            for core_id in range(self.wafer.num_cores):
-                for neighbor in self.wafer.neighbors(core_id):
-                    if neighbor > core_id:
-                        link = frozenset((core_id, neighbor))
-                        if link not in self._faulty_links:
-                            graph.add_edge(core_id, neighbor)
-            self._graph = graph
-        return self._graph
 
     # --------------------------------------------------------------- transfers
 
     def route_hops(self, src: int, dst: int) -> tuple[int, int]:
-        """Return (hops, die_crossings) for a transfer from src to dst.
-
-        Without link faults the route is the minimal XY route; with faults the
-        shortest path on the surviving mesh is used (routing-table
-        reconfiguration, Section 4.3.3).
-        """
+        """Return (hops, die_crossings) of the minimal XY route from src to dst."""
         if src == dst:
             return 0, 0
-        if not self._faulty_links:
-            return self.wafer.manhattan(src, dst), self.wafer.die_crossings(src, dst)
-        graph = self._mesh_graph()
-        try:
-            path = nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise ConfigurationError(
-                f"no route between cores {src} and {dst} with current link faults"
-            ) from exc
-        hops = len(path) - 1
-        crossings = sum(
-            0 if self.wafer.same_die(a, b) else 1 for a, b in zip(path, path[1:])
-        )
-        return hops, crossings
+        return self.wafer.manhattan(src, dst), self.wafer.die_crossings(src, dst)
 
     def transfer_cost(self, src: int, dst: int, num_bytes: float) -> TransferCost:
         """Latency/energy to move ``num_bytes`` from ``src`` to ``dst``."""
@@ -154,38 +85,3 @@ class NoCModel:
         )
         energy = self.energy.noc_transfer_energy_j(num_bytes, hops, crossings)
         return TransferCost(latency, energy, hops, crossings, num_bytes)
-
-    def record_transfer(self, src: int, dst: int, num_bytes: float) -> TransferCost:
-        """Like :meth:`transfer_cost` but also accumulates traffic statistics."""
-        cost = self.transfer_cost(src, dst, num_bytes)
-        self.stats.total_bytes += cost.num_bytes
-        self.stats.total_byte_hops += cost.num_bytes * cost.hops
-        self.stats.total_transfers += 1
-        self.stats.total_energy_j += cost.energy_j
-        return cost
-
-    def reset_stats(self) -> None:
-        self.stats = NoCTrafficStats()
-
-    # ------------------------------------------------------------- broadcasts
-
-    def multicast_cost(self, src: int, dsts: list[int], num_bytes: float) -> TransferCost:
-        """Cost of sending the same payload from ``src`` to several cores.
-
-        Modelled as a chain of unicasts along the mesh (the paper's S-shaped
-        producer/consumer flow), so latency is dominated by the farthest
-        destination while energy accumulates byte-hops to every destination.
-        """
-        if not dsts:
-            return TransferCost(0.0, 0.0, 0, 0, 0.0)
-        latency = 0.0
-        energy = 0.0
-        max_hops = 0
-        max_crossings = 0
-        for dst in dsts:
-            cost = self.transfer_cost(src, dst, num_bytes)
-            latency = max(latency, cost.latency_s)
-            energy += cost.energy_j
-            max_hops = max(max_hops, cost.hops)
-            max_crossings = max(max_crossings, cost.die_crossings)
-        return TransferCost(latency, energy, max_hops, max_crossings, num_bytes * len(dsts))

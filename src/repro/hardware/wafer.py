@@ -9,10 +9,11 @@ The wafer exposes:
 * an S-shaped (boustrophedon) traversal order over cores that follows the
   paper's S-shaped logical routing topology for pipeline stages,
 * one defect lookup, read into a boolean array once per wafer, that every
-  healthy-core filter and placement check of the mapper shares (Eq. 2),
-* lazy instantiation of behavioural :class:`~repro.hardware.core.CIMCore`
-  objects, so that constructing a 13,923-core wafer stays cheap until a core
-  is actually exercised.
+  healthy-core filter and placement check of the mapper shares (Eq. 2).
+
+No object is kept per core: a 13,923-core wafer is its geometry arrays and
+its healthy-core table.  What a core costs to compute on is priced by
+:class:`~repro.hardware.core.CIMCore`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .config import WaferConfig
-from .core import CIMCore, CoreRole
 from .die import CoreCoordinate, Die, DieCoordinate
 from .energy import EnergyModel
 from .yieldmodel import DefectMap
@@ -116,7 +116,6 @@ class Wafer:
             for row in range(self.config.die_rows)
             for col in range(self.config.die_cols)
         ]
-        self._cores: dict[int, CIMCore] = {}
         self._geometry: WaferGeometry | None = None
         self._healthy: np.ndarray | None = None
 
@@ -250,26 +249,6 @@ class Wafer:
         if self.defect_map is None:
             return self.num_cores
         return self.defect_map.healthy_cores
-
-    # ------------------------------------------------------------------- cores
-
-    def core(self, core_id: int) -> CIMCore:
-        """Return (lazily creating) the behavioural model of one core."""
-        self._check_core_id(core_id)
-        core = self._cores.get(core_id)
-        if core is None:
-            core = CIMCore(core_id, self.config.die.core, self.energy)
-            if self.is_defective(core_id):
-                core.mark_defective()
-            self._cores[core_id] = core
-        return core
-
-    def instantiated_cores(self) -> dict[int, CIMCore]:
-        """Cores that have been touched so far (for inspection in tests)."""
-        return dict(self._cores)
-
-    def cores_with_role(self, role: CoreRole) -> list[int]:
-        return [cid for cid, core in self._cores.items() if core.role is role]
 
     # --------------------------------------------------------------- capacities
 

@@ -1,15 +1,11 @@
 """Distributed dynamic KV-cache management and its static baseline."""
 
-from .bitmap import OccupancyBitmap
-from .blocks import BlockAddress, FreeBlockTable, tokens_per_block
+from .blocks import tokens_per_block
 from .manager import DistributedKVCacheManager, KVCacheStats
 from .pagetable import HeadPlacement, PageTable
 from .static import StaticKVCacheManager, StaticKVCacheStats
 
 __all__ = [
-    "OccupancyBitmap",
-    "BlockAddress",
-    "FreeBlockTable",
     "tokens_per_block",
     "DistributedKVCacheManager",
     "KVCacheStats",

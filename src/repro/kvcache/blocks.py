@@ -1,27 +1,15 @@
-"""Logical KV blocks and the per-crossbar free-block table (Fig. 12c).
+"""The size of one logical KV block in tokens (Fig. 12c).
 
 In attention mode each crossbar's 1024 x 1024 SRAM array is partitioned into
 eight 128 x 1024-bit logical blocks.  With a 128-wide head dimension and 8-bit
 KV elements, one logical block holds 128 tokens of K (or V) for a single
-attention head.  The crossbar controller keeps one register per logical block
-recording how many rows/columns are valid, which is what the free-block table
-below models.
+attention head.  Free blocks are counted by the managers: per KV unit in
+:mod:`repro.kvcache.manager`, as one total in :mod:`repro.kvcache.static`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import KVCacheError
-
-
-@dataclass(frozen=True)
-class BlockAddress:
-    """Physical location of one logical KV block."""
-
-    core_id: int
-    crossbar_index: int
-    block_index: int
 
 
 def tokens_per_block(head_dim: int, element_bytes: int = 1, block_bits: int = 128 * 1024) -> int:
@@ -30,85 +18,3 @@ def tokens_per_block(head_dim: int, element_bytes: int = 1, block_bits: int = 12
         raise KVCacheError("head_dim and element_bytes must be positive")
     tokens = block_bits // (head_dim * element_bytes * 8)
     return max(1, tokens)
-
-
-class FreeBlockTable:
-    """Free-block table of one crossbar controller.
-
-    Tracks, for each of the crossbar's logical blocks, how many token rows are
-    occupied and by which sequence.  This is the third level of the paper's
-    address translation: sequence number -> core -> block -> valid rows.
-    """
-
-    def __init__(self, num_blocks: int = 8, rows_per_block: int = 128) -> None:
-        if num_blocks <= 0 or rows_per_block <= 0:
-            raise KVCacheError("num_blocks and rows_per_block must be positive")
-        self.num_blocks = num_blocks
-        self.rows_per_block = rows_per_block
-        self._owner: list[int | None] = [None] * num_blocks
-        self._rows_used: list[int] = [0] * num_blocks
-
-    # ------------------------------------------------------------------ queries
-
-    @property
-    def free_blocks(self) -> int:
-        return sum(1 for owner in self._owner if owner is None)
-
-    @property
-    def used_blocks(self) -> int:
-        return self.num_blocks - self.free_blocks
-
-    def owner_of(self, block_index: int) -> int | None:
-        return self._owner[block_index]
-
-    def rows_used(self, block_index: int) -> int:
-        return self._rows_used[block_index]
-
-    def rows_free(self, block_index: int) -> int:
-        if self._owner[block_index] is None:
-            return self.rows_per_block
-        return self.rows_per_block - self._rows_used[block_index]
-
-    def blocks_of(self, owner: int) -> list[int]:
-        return [i for i, o in enumerate(self._owner) if o == owner]
-
-    # ---------------------------------------------------------------- mutation
-
-    def allocate(self, owner: int) -> int:
-        """Allocate a free block to ``owner``; return its index."""
-        for index, existing in enumerate(self._owner):
-            if existing is None:
-                self._owner[index] = owner
-                self._rows_used[index] = 0
-                return index
-        raise KVCacheError("free-block table has no free blocks")
-
-    def append_rows(self, block_index: int, rows: int) -> int:
-        """Fill ``rows`` more rows of a block; return rows actually stored."""
-        if self._owner[block_index] is None:
-            raise KVCacheError(f"block {block_index} is not allocated")
-        if rows < 0:
-            raise KVCacheError("rows must be non-negative")
-        free = self.rows_per_block - self._rows_used[block_index]
-        stored = min(free, rows)
-        self._rows_used[block_index] += stored
-        return stored
-
-    def release(self, block_index: int) -> None:
-        if self._owner[block_index] is None:
-            raise KVCacheError(f"block {block_index} is not allocated")
-        self._owner[block_index] = None
-        self._rows_used[block_index] = 0
-
-    def release_owner(self, owner: int) -> int:
-        """Release every block held by ``owner``; return the count released."""
-        released = 0
-        for index, existing in enumerate(self._owner):
-            if existing == owner:
-                self.release(index)
-                released += 1
-        return released
-
-    def reset(self) -> None:
-        self._owner = [None] * self.num_blocks
-        self._rows_used = [0] * self.num_blocks

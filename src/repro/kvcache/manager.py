@@ -8,9 +8,20 @@ each group (walking a ring pointer so that consecutively scheduled sequences
 land on distinct cores, Section 4.4.3) and grows the per-head logical-block
 allocation as the sequence's context expands.
 
-Address translation is three-level (Fig. 12): a per-block page table maps the
-sequence to per-head core coordinates; each core's bitmap maps the sequence to
-logical blocks; each crossbar's free-block table tracks valid rows.
+Address translation is three-level (Fig. 12).  Each level is kept in a
+sequence's allocation record and the manager's per-unit counts, not in
+per-core or per-crossbar objects:
+
+* the per-block page table (sequence -> per-head K and V core) is the
+  allocation's ``placement`` array, from which
+  :class:`~repro.kvcache.pagetable.PlacementPageTables` builds exact
+  per-block views on lookup;
+* each core's bitmap (sequence -> its logical blocks on that core) is the
+  allocation's ``units`` and ``unit_counts`` times ``blocks_per_slot``,
+  against one free-block count per unit;
+* each crossbar's free-block table (the valid rows of a block) is the
+  allocation's ``tokens``: every block but the last is full, and the last
+  holds what is left of ``tokens`` after the full ones.
 
 The groups stack into *ring rows* of equal width (K row, then V row, block
 by block), and every admission advances every block's ring pointer by
@@ -564,10 +575,6 @@ class DistributedKVCacheManager:
             self._grow([(allocation, delta)])
         allocation.tokens = new_tokens
         return True
-
-    def append_token(self, sequence: Sequence) -> bool:
-        """Scheduler-protocol alias for :meth:`append_tokens` with one token."""
-        return self.append_tokens(sequence, 1)
 
     def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> int:
         """Append ``counts[i]`` tokens to ``sequences[i]``, in order, for as

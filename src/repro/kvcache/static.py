@@ -170,9 +170,6 @@ class StaticKVCacheManager:
             )
         return sequence.context_length + count <= self.reserved_context
 
-    def append_token(self, sequence: Sequence) -> bool:
-        return self.append_tokens(sequence, 1)
-
     def commit_tokens(self, sequences: list[Sequence], counts: list[int]) -> int:
         """Growth inside the reservation needs no bookkeeping: count the
         growths, in order, up to the first one past the reserved context."""

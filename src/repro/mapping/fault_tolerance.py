@@ -12,8 +12,8 @@ fails during operation two cases arise:
   weight core.  The recovery is purely local: it never re-runs the MIQP
   mapping and finishes in sub-millisecond time.
 
-Interconnect (link) failures are handled separately by the NoC model, which
-re-routes around faulty links.
+Interconnect (link) failures are not modelled: the NoC model prices every
+hand-off on the minimal XY route of the full mesh.
 """
 
 from __future__ import annotations

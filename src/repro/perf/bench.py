@@ -15,8 +15,9 @@ bitwise batch-parity headline), the full headline comparison grid, a
 mapping-annealer microbenchmark, and a streaming-scale serve (the trace pulled
 lazily from a request stream, with a simulated-requests-per-wall-clock-second
 headline and a peak-RSS bound) -- and writes the measurements to a JSON file
-(``BENCH_PR23.json`` by default).  Each later report gets its own numbered file, so the
-repository carries its performance trajectory alongside the code;
+(``BENCH_LATEST.json`` by default).  A change that adds a report to the
+performance trajectory the repository carries alongside the code names it
+``BENCH_PR<n>.json`` (``REPRO_BENCH_OUTPUT=BENCH_PR<n>.json scripts/bench.sh``);
 ``scripts/check_bench_regression.py`` gates CI on the deterministic headline
 metrics staying bit-for-bit on trajectory.  A fixed calibration kernel is
 timed just before and after every stage (``meta.host_slowdown``), so stage

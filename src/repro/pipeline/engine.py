@@ -998,12 +998,16 @@ class PipelineEngine:
 
         Release order is (arrival_time, request_id) — the order a batch trace
         generator emits — so FCFS queue order matches the equivalent batch
-        submission exactly.
+        submission exactly.  Queue order among equals is submission order, as
+        if the requests had been in the trace from the start; the watermark
+        gates of :meth:`_drive` ingest every request before the first fill
+        that could admit it, which is what keeps daemon replays bit-for-bit
+        equal to batch runs.
         """
         released = arrival_feed.take_released()
         if released:
             trace.requests.extend(released)
-            self.scheduler.ingest(released)
+            self.scheduler.submit_all(released)
 
     # ----------------------------------------------------------- run lifecycle
 

@@ -90,9 +90,6 @@ class TokenCostModel:
 
     # ------------------------------------------------------------------ stages
 
-    def stage_specs(self) -> list[StageSpec]:
-        return list(self._stage_specs)
-
     def _weighted_stage_latency(self, spec: StageSpec) -> float:
         """Latency of a weighted GEMV stage for one token."""
         if spec.kind is StageKind.QKV_GENERATION:

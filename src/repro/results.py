@@ -429,10 +429,6 @@ class LatencyAccumulator:
     def count(self) -> int:
         return self._count
 
-    @property
-    def is_exact(self) -> bool:
-        return self._exact is not None
-
     def add(self, value: float) -> None:
         self._count += 1
         if self._exact is not None:

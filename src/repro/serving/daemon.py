@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .. import api
+from ..core.system import OuroborosSystem
 from ..errors import ConfigurationError, ProtocolError
 from ..pipeline.checkpoint import EngineCheckpoint
 from ..results import RunResult
@@ -138,7 +139,7 @@ class ServingDaemon:
         self._shutdown = asyncio.Event()
 
         system = api.build_deployment(self.spec)
-        if not hasattr(system, "serve_live"):
+        if not isinstance(system, OuroborosSystem):
             raise ConfigurationError(
                 f"{api.get_system(self.spec.system).display_name} does not "
                 "support live serving; use an Ouroboros-family system."
@@ -229,7 +230,7 @@ class ServingDaemon:
         try:
             faults = self.spec.faults
             fault_plan = faults if faults is not None and len(faults) else None
-            outcome = system.serve_live(
+            outcome = system.serve(
                 trace,
                 workload_name=self.spec.label(),
                 arrival_feed=feed,

@@ -1,6 +1,11 @@
-"""End-to-end simulation: system builder, energy accounting and result types."""
+"""End-to-end simulation: the system builder and runtime fault injection.
 
-from .accounting import EnergyAccountant
+Result types live in :mod:`repro.results`; energy is accumulated by the
+pipeline cost model (:mod:`repro.pipeline.stages`) and the baselines
+(:mod:`repro.baselines.common`) directly into
+:class:`~repro.results.EnergyBreakdown`.
+"""
+
 from .engine import (
     BuiltOuroboros,
     KVPolicy,
@@ -10,18 +15,14 @@ from .engine import (
     required_wafers,
 )
 from .faults import FaultEvent, FaultInjector, FaultPlan, make_fault_plan
-from .results import EnergyBreakdown, RunResult
 
 __all__ = [
-    "EnergyAccountant",
     "BuiltOuroboros",
     "OuroborosSystemConfig",
     "PipelineMode",
     "KVPolicy",
     "MappingStrategy",
     "required_wafers",
-    "EnergyBreakdown",
-    "RunResult",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

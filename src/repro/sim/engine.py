@@ -229,6 +229,8 @@ class BuiltOuroboros:
         fault_plan=None,
         suspend_at_epoch: int | None = None,
         resume_from: EngineCheckpoint | None = None,
+        arrival_feed=None,
+        scalar: bool = False,
     ) -> RunResult | EngineCheckpoint:
         """Serve a trace and return throughput/energy results.
 
@@ -237,40 +239,14 @@ class BuiltOuroboros:
         result once that epoch is reached (the wafer-level cost adjustments
         and summary are applied when the resumed run finishes, not twice), and
         ``resume_from`` continues a suspended run bit for bit.
-        """
-        engine = self.make_pipeline()
-        outcome = engine.run(
-            trace,
-            workload_name,
-            fault_plan=fault_plan,
-            suspend_at_epoch=suspend_at_epoch,
-            resume_from=resume_from,
-        )
-        if isinstance(outcome, EngineCheckpoint):
-            return outcome
-        result = self._add_inter_wafer_costs(outcome, trace)
-        result.extra.update(self.summary())
-        return result
 
-    def serve_live(
-        self,
-        trace: Trace | StreamingTrace,
-        workload_name: str | None = None,
-        *,
-        arrival_feed,
-        fault_plan=None,
-        resume_from: EngineCheckpoint | None = None,
-        scalar: bool = False,
-    ) -> RunResult | EngineCheckpoint:
-        """Serve requests delivered live by ``arrival_feed`` (the daemon path).
-
-        Same engine, same epoch arithmetic as :meth:`serve`: the feed only
-        controls *when* requests enter the admission queue, never how they
-        are served, so draining a replayed trace reproduces the batch result
-        bit for bit.  ``trace`` starts empty and accumulates the ingested
-        requests; a feed-requested checkpoint-and-stop returns the
-        :class:`EngineCheckpoint` like a suspended batch run.  ``scalar``
-        selects the scalar reference engine path (parity tests).
+        ``arrival_feed`` delivers requests live (the daemon path): ``trace``
+        then starts empty and accumulates the ingested requests.  The feed
+        only controls *when* requests enter the admission queue, never how
+        they are served, so draining a replayed trace reproduces the batch
+        result bit for bit; a feed-requested checkpoint-and-stop returns the
+        :class:`EngineCheckpoint` like a suspended run.  ``scalar`` selects
+        the scalar reference engine path (parity tests).
         """
         engine = self.make_pipeline()
         runner = engine.run_scalar if scalar else engine.run
@@ -278,6 +254,7 @@ class BuiltOuroboros:
             trace,
             workload_name,
             fault_plan=fault_plan,
+            suspend_at_epoch=suspend_at_epoch,
             resume_from=resume_from,
             arrival_feed=arrival_feed,
         )

@@ -213,33 +213,6 @@ class Sequence:
         self.phase = SequencePhase.PREFILL
         self.admission_time = time
 
-    def advance_token(self) -> int:
-        """Process one token; return the context length it attends to.
-
-        The returned length is the number of previously cached tokens, i.e.
-        the position of the processed token (0-based), which drives the
-        position-dependent score/context GEMV cost.
-        """
-        if self.phase is SequencePhase.PREFILL:
-            position = self.context_length
-            self.prefill_progress += 1
-            if self.remaining_prefill <= 0:
-                self.phase = (
-                    SequencePhase.DECODE
-                    if self.remaining_decode > 0
-                    else SequencePhase.COMPLETE
-                )
-            return position
-        if self.phase is SequencePhase.DECODE:
-            position = self.context_length
-            self.decode_progress += 1
-            if self.remaining_decode <= 0:
-                self.phase = SequencePhase.COMPLETE
-            return position
-        raise SchedulingError(
-            f"sequence {self.sequence_id} cannot advance from phase {self.phase}"
-        )
-
     def advance_tokens(self, count: int) -> list[tuple["SequencePhase", int, int]]:
         """Process up to ``count`` tokens in bulk.
 

@@ -213,17 +213,6 @@ class InterSequenceScheduler:
     def submit_all(self, requests: list[Request]) -> list[Sequence]:
         return [self.submit(request) for request in requests]
 
-    def ingest(self, requests: list[Request]) -> list[Sequence]:
-        """Live arrival feed hook: queue requests that landed mid-run.
-
-        The daemon's ingestion path (``repro serve --daemon``).  Queue order
-        among equals is submission order, exactly as if the requests had been
-        in the trace from the start — the engine's watermark gates guarantee
-        every request is ingested before the first fill that could admit it,
-        which is what keeps daemon replays bit-for-bit equal to batch runs.
-        """
-        return self.submit_all(requests)
-
     # ------------------------------------------------------------------- state
 
     @property

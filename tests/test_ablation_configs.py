@@ -1,12 +1,8 @@
-"""Tests for the ablation configuration helpers and the energy accountant."""
+"""Tests for the ablation configuration helpers."""
 
 import pytest
 
 from repro.baselines.multi_die import ABLATION_STEPS, ablation_config, ablation_system
-from repro.hardware.config import CrossbarConfig
-from repro.hardware.energy import EnergyModel
-from repro.results import EnergyBreakdown
-from repro.sim.accounting import EnergyAccountant
 from repro.sim.engine import KVPolicy, MappingStrategy, PipelineMode
 
 
@@ -57,39 +53,3 @@ class TestAblationConfigs:
         assert system.config.cim_enabled
         assert system.config.pipeline_mode is PipelineMode.SEQUENCE_GRAINED
 
-
-class TestEnergyAccountant:
-    def test_cim_macs(self):
-        accountant = EnergyAccountant(EnergyModel())
-        accountant.add_cim_macs(1_000_000, CrossbarConfig())
-        assert accountant.breakdown.compute_j > 0
-
-    def test_categories_routed_correctly(self):
-        accountant = EnergyAccountant(EnergyModel())
-        accountant.add_sram_read(1024)
-        accountant.add_sram_write(1024)
-        accountant.add_hbm_access(1024)
-        accountant.add_nvlink_traffic(1024)
-        accountant.add_noc_traffic(1024, hops=2)
-        accountant.add_sfu_elements(100)
-        accountant.add_digital_macs(100)
-        snapshot = accountant.snapshot()
-        assert snapshot.on_chip_memory_j > 0
-        assert snapshot.off_chip_memory_j > 0
-        assert snapshot.communication_j > 0
-        assert snapshot.compute_j > 0
-
-    def test_snapshot_is_a_copy(self):
-        accountant = EnergyAccountant(EnergyModel())
-        snapshot = accountant.snapshot()
-        accountant.add_dram_access(1024)
-        assert snapshot.off_chip_memory_j == 0.0
-
-    def test_optical_traffic(self):
-        accountant = EnergyAccountant(EnergyModel())
-        accountant.add_optical_traffic(1024)
-        assert accountant.breakdown.communication_j > 0
-
-    def test_preexisting_breakdown(self):
-        accountant = EnergyAccountant(EnergyModel(), breakdown=EnergyBreakdown(compute_j=1.0))
-        assert accountant.snapshot().compute_j == 1.0

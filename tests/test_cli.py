@@ -31,9 +31,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
-    def test_bench_default_output_tracks_pr(self):
+    def test_bench_default_output_is_latest(self):
         args = build_parser().parse_args(["bench"])
-        assert args.output == "BENCH_PR23.json"
+        assert args.output == "BENCH_LATEST.json"
 
     def test_serve_policy_choice(self):
         """serve picks its policy with --tune; client keeps --policy."""

@@ -1,61 +1,13 @@
-"""Tests for the CIM core behavioural model."""
+"""Tests for the CIM core cost model."""
 
 import pytest
 
-from repro.errors import CapacityError
-from repro.hardware.core import CIMCore, CoreRole
-from repro.units import MB
+from repro.hardware.core import CIMCore
 
 
 @pytest.fixture
 def core():
     return CIMCore(core_id=0)
-
-
-class TestRoles:
-    def test_initial_role_unassigned(self, core):
-        assert core.role is CoreRole.UNASSIGNED
-        assert core.is_available
-
-    def test_assign_weights(self, core):
-        core.assign_weights(tile="qkv", weight_bytes=3 * MB)
-        assert core.role is CoreRole.WEIGHT
-        assert core.assigned_tile == "qkv"
-        assert core.weight_bytes_used == 3 * MB
-        assert core.weight_bytes_free == 1 * MB
-
-    def test_assign_weights_overflow(self, core):
-        with pytest.raises(CapacityError):
-            core.assign_weights(tile="big", weight_bytes=5 * MB)
-
-    def test_assign_kv_cache(self, core):
-        core.assign_kv_cache()
-        assert core.role is CoreRole.KV_CACHE
-        assert core.free_logical_blocks == core.total_logical_blocks == 256
-
-    def test_defective_core_rejects_assignment(self, core):
-        core.mark_defective()
-        assert core.is_defective
-        with pytest.raises(CapacityError):
-            core.assign_weights(tile="x", weight_bytes=1024)
-        with pytest.raises(CapacityError):
-            core.assign_kv_cache()
-
-    def test_release_returns_to_pool(self, core):
-        core.assign_weights(tile="x", weight_bytes=1 * MB)
-        core.release()
-        assert core.is_available
-        assert core.weight_bytes_used == 0
-
-    def test_release_keeps_defective(self, core):
-        core.mark_defective()
-        core.release()
-        assert core.is_defective
-
-    def test_free_logical_blocks_zero_unless_kv(self, core):
-        assert core.free_logical_blocks == 0
-        core.assign_weights(tile="x", weight_bytes=1024)
-        assert core.free_logical_blocks == 0
 
 
 class TestCompute:

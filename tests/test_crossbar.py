@@ -1,132 +1,51 @@
-"""Tests for the crossbar behavioural model (FFN / attention modes, GEMV costs)."""
+"""Tests for the crossbar cost model (GEMV and write costs, Fig. 11 area)."""
 
 import pytest
 
-from repro.errors import CapacityError, KVCacheError
-from repro.hardware.config import CrossbarConfig
 from repro.hardware.crossbar import (
     Crossbar,
-    CrossbarMode,
     effective_sram_ratio,
     throughput_vs_activation_ratio,
 )
 
 
 @pytest.fixture
-def ffn_crossbar():
-    return Crossbar(mode=CrossbarMode.FFN)
-
-
-@pytest.fixture
-def attention_crossbar():
-    xb = Crossbar(mode=CrossbarMode.ATTENTION)
-    return xb
-
-
-class TestWeights:
-    def test_load_weights_within_capacity(self, ffn_crossbar):
-        ffn_crossbar.load_weights(64 * 1024)
-        assert ffn_crossbar.weight_bytes_used == 64 * 1024
-        assert ffn_crossbar.weight_bytes_free == 64 * 1024
-
-    def test_load_weights_overflow_rejected(self, ffn_crossbar):
-        with pytest.raises(CapacityError):
-            ffn_crossbar.load_weights(256 * 1024)
-
-    def test_load_weights_negative_rejected(self, ffn_crossbar):
-        with pytest.raises(ValueError):
-            ffn_crossbar.load_weights(-1)
-
-    def test_load_weights_wrong_mode(self, attention_crossbar):
-        with pytest.raises(KVCacheError):
-            attention_crossbar.load_weights(1024)
-
-    def test_reset_weights(self, ffn_crossbar):
-        ffn_crossbar.load_weights(1024)
-        ffn_crossbar.reset_weights()
-        assert ffn_crossbar.weight_bytes_used == 0
-
-
-class TestLogicalBlocks:
-    def test_allocate_and_release(self, attention_crossbar):
-        index = attention_crossbar.allocate_block(owner=7)
-        assert attention_crossbar.block_owner(index) == 7
-        assert attention_crossbar.free_blocks == 7
-        attention_crossbar.release_block(index)
-        assert attention_crossbar.free_blocks == 8
-
-    def test_allocate_all_blocks_then_fail(self, attention_crossbar):
-        for _ in range(8):
-            attention_crossbar.allocate_block(owner=1)
-        with pytest.raises(CapacityError):
-            attention_crossbar.allocate_block(owner=2)
-
-    def test_allocate_in_ffn_mode_rejected(self, ffn_crossbar):
-        with pytest.raises(KVCacheError):
-            ffn_crossbar.allocate_block(owner=1)
-
-    def test_append_rows_respects_block_capacity(self, attention_crossbar):
-        index = attention_crossbar.allocate_block(owner=3)
-        stored = attention_crossbar.append_rows(index, 100)
-        assert stored == 100
-        stored = attention_crossbar.append_rows(index, 100)
-        assert stored == attention_crossbar.logical_block_rows - 100
-
-    def test_append_rows_unallocated_rejected(self, attention_crossbar):
-        with pytest.raises(KVCacheError):
-            attention_crossbar.append_rows(0, 10)
-
-    def test_release_owner_frees_all(self, attention_crossbar):
-        attention_crossbar.allocate_block(owner=1)
-        attention_crossbar.allocate_block(owner=1)
-        attention_crossbar.allocate_block(owner=2)
-        freed = attention_crossbar.release_owner(1)
-        assert freed == 2
-        assert attention_crossbar.free_blocks == 7
-
-    def test_release_unallocated_rejected(self, attention_crossbar):
-        with pytest.raises(KVCacheError):
-            attention_crossbar.release_block(0)
-
-    def test_block_free_rows(self, attention_crossbar):
-        assert attention_crossbar.block_free_rows(0) == attention_crossbar.logical_block_rows
-        index = attention_crossbar.allocate_block(owner=1)
-        attention_crossbar.append_rows(index, 5)
-        assert attention_crossbar.block_free_rows(index) == attention_crossbar.logical_block_rows - 5
+def crossbar():
+    return Crossbar()
 
 
 class TestGemvCost:
-    def test_full_gemv_cycles(self, ffn_crossbar):
-        cost = ffn_crossbar.gemv_cost()
+    def test_full_gemv_cycles(self, crossbar):
+        cost = crossbar.gemv_cost()
         assert cost.cycles == 256
         assert cost.macs == 1024 * 128
 
-    def test_partial_rows_fewer_cycles(self, ffn_crossbar):
-        full = ffn_crossbar.gemv_cost()
-        partial = ffn_crossbar.gemv_cost(active_rows=128)
+    def test_partial_rows_fewer_cycles(self, crossbar):
+        full = crossbar.gemv_cost()
+        partial = crossbar.gemv_cost(active_rows=128)
         assert partial.cycles < full.cycles
         assert partial.energy_j < full.energy_j
 
-    def test_zero_rows_zero_cost(self, ffn_crossbar):
-        cost = ffn_crossbar.gemv_cost(active_rows=0)
+    def test_zero_rows_zero_cost(self, crossbar):
+        cost = crossbar.gemv_cost(active_rows=0)
         assert cost.cycles == 0
         assert cost.energy_j == 0.0
 
-    def test_rows_clamped_to_array(self, ffn_crossbar):
-        cost = ffn_crossbar.gemv_cost(active_rows=10_000)
-        assert cost.cycles == ffn_crossbar.gemv_cost().cycles
+    def test_rows_clamped_to_array(self, crossbar):
+        cost = crossbar.gemv_cost(active_rows=10_000)
+        assert cost.cycles == crossbar.gemv_cost().cycles
 
-    def test_energy_scales_with_active_fraction(self, ffn_crossbar):
-        half = ffn_crossbar.gemv_cost(active_cols=64)
-        full = ffn_crossbar.gemv_cost(active_cols=128)
+    def test_energy_scales_with_active_fraction(self, crossbar):
+        half = crossbar.gemv_cost(active_cols=64)
+        full = crossbar.gemv_cost(active_cols=128)
         assert half.energy_j == pytest.approx(full.energy_j / 2, rel=0.01)
 
-    def test_latency_matches_cycles(self, ffn_crossbar):
-        cost = ffn_crossbar.gemv_cost()
+    def test_latency_matches_cycles(self, crossbar):
+        cost = crossbar.gemv_cost()
         assert cost.latency_s == pytest.approx(cost.cycles / 300e6)
 
-    def test_write_cost_positive(self, ffn_crossbar):
-        cost = ffn_crossbar.write_cost(1024)
+    def test_write_cost_positive(self, crossbar):
+        cost = crossbar.write_cost(1024)
         assert cost.cycles == 32
         assert cost.energy_j > 0
 

@@ -261,8 +261,8 @@ class TestBuildKey:
 
     def test_build_serialises_no_spec(self, monkeypatch):
         dumps = []
-        original = api.json.dumps
-        monkeypatch.setattr(api.json, "dumps", lambda *a, **k: dumps.append(a) or original(*a, **k))
+        original = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(a) or original(*a, **k))
         api.clear_system_cache()
         for spec in cell_deployments("llama-13b", "wikitext2", CELL):
             build_deployment(spec)

@@ -133,7 +133,7 @@ class TestGrowthAndRelease:
         seq = make_sequence(0)
         manager.try_admit(seq)
         manager.append_tokens(seq, 10)
-        manager.append_token(seq)
+        manager.append_tokens(seq, 1)
         assert manager.tokens_cached(0) == 11
 
     def test_growth_of_unknown_sequence_rejected(self, manager):

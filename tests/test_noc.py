@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.hardware.noc import NoCConfig, NoCModel
 
 
@@ -50,52 +49,3 @@ class TestRouting:
         assert cross_die.latency_s > same_die.latency_s
         assert cross_die.energy_j > same_die.energy_j
 
-
-class TestLinkFaults:
-    def test_reroute_around_faulty_link(self, noc, small_wafer):
-        a = small_wafer.core_id_at(0, 0)
-        b = small_wafer.core_id_at(0, 1)
-        baseline_hops, _ = noc.route_hops(a, b)
-        noc.mark_link_faulty(a, b)
-        hops, _ = noc.route_hops(a, b)
-        assert hops > baseline_hops
-
-    def test_mark_non_adjacent_link_rejected(self, noc):
-        with pytest.raises(ConfigurationError):
-            noc.mark_link_faulty(0, 9)
-
-    def test_clear_link_faults(self, noc, small_wafer):
-        a, b = small_wafer.core_id_at(0, 0), small_wafer.core_id_at(0, 1)
-        noc.mark_link_faulty(a, b)
-        noc.clear_link_faults()
-        assert noc.route_hops(a, b) == (1, 0)
-
-    def test_faulty_links_reported(self, noc, small_wafer):
-        a, b = small_wafer.core_id_at(1, 1), small_wafer.core_id_at(1, 2)
-        noc.mark_link_faulty(a, b)
-        assert frozenset((a, b)) in noc.faulty_links
-
-
-class TestStatsAndMulticast:
-    def test_record_transfer_accumulates(self, noc):
-        noc.record_transfer(0, 5, 1000)
-        noc.record_transfer(0, 5, 1000)
-        assert noc.stats.total_transfers == 2
-        assert noc.stats.total_bytes == 2000
-        assert noc.stats.total_energy_j > 0
-
-    def test_reset_stats(self, noc):
-        noc.record_transfer(0, 5, 1000)
-        noc.reset_stats()
-        assert noc.stats.total_transfers == 0
-
-    def test_multicast_empty(self, noc):
-        cost = noc.multicast_cost(0, [], 1024)
-        assert cost.latency_s == 0.0
-
-    def test_multicast_latency_is_max_energy_is_sum(self, noc, small_wafer):
-        dsts = [small_wafer.core_id_at(0, 1), small_wafer.core_id_at(0, 5)]
-        single_far = noc.transfer_cost(0, dsts[1], 1024)
-        multicast = noc.multicast_cost(0, dsts, 1024)
-        assert multicast.latency_s == pytest.approx(single_far.latency_s)
-        assert multicast.energy_j > single_far.energy_j

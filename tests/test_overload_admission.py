@@ -152,7 +152,7 @@ class Side:
             if kind == "submit":
                 sequence = scheduler.submit(request)
             else:
-                (sequence,) = scheduler.ingest([request])
+                (sequence,) = scheduler.submit_all([request])
             self.sequences[sequence.sequence_id] = sequence
             return sequence.sequence_id
         if kind == "fill":

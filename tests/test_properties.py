@@ -9,7 +9,7 @@ from repro.hardware.config import CrossbarConfig
 from repro.hardware.crossbar import effective_sram_ratio
 from repro.hardware.htree import LeafAssignment, assignment_cost
 from repro.hardware.yieldmodel import murphy_yield
-from repro.kvcache.blocks import FreeBlockTable, tokens_per_block
+from repro.kvcache.blocks import tokens_per_block
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.models.architectures import ModelArch
 from repro.results import EnergyBreakdown
@@ -90,27 +90,6 @@ def test_htree_grouped_layout_is_lower_bound(parts, per_part, data):
     permutation = data.draw(st.permutations(slices))
     shuffled_cost = assignment_cost(LeafAssignment(slices=list(permutation)))
     assert grouped_cost.weighted_concat_depth <= shuffled_cost.weighted_concat_depth
-
-
-# ---------------------------------------------------------------------------
-# Free-block table invariants
-# ---------------------------------------------------------------------------
-
-
-@given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 200)), max_size=40))
-def test_free_block_table_conservation(ops):
-    table = FreeBlockTable(num_blocks=8, rows_per_block=128)
-    allocated: list[int] = []
-    for owner, rows in ops:
-        if table.free_blocks > 0:
-            index = table.allocate(owner)
-            table.append_rows(index, rows)
-            allocated.append(index)
-        elif allocated:
-            table.release(allocated.pop())
-        assert table.free_blocks + table.used_blocks == table.num_blocks
-        for block in range(table.num_blocks):
-            assert 0 <= table.rows_used(block) <= table.rows_per_block
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for wafer geometry, S-shaped ordering, defects and lazy cores."""
+"""Tests for wafer geometry, capacities, S-shaped ordering and defects."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.config import DieConfig, WaferConfig
-from repro.hardware.core import CoreRole
 from repro.hardware.wafer import Wafer
 from repro.hardware.yieldmodel import DefectMap
 
@@ -99,6 +98,11 @@ class TestGeometry:
         core = small_wafer.core_id_at(2, 2)
         for neighbor in small_wafer.neighbors(core):
             assert small_wafer.manhattan(core, neighbor) == 1
+
+    def test_capacities(self, small_wafer):
+        assert small_wafer.sram_bytes == 64 * 4 * 1024 * 1024
+        assert small_wafer.usable_sram_bytes == small_wafer.sram_bytes
+        assert small_wafer.peak_ops_per_second > 0
 
     @given(wafer=wafers(max_defects=3))
     @settings(max_examples=40, deadline=None)
@@ -224,30 +228,3 @@ class TestDefects:
         assert wafer.is_defective(5) and not wafer.is_defective(63)
         with pytest.raises(ConfigurationError, match="core id 64 outside"):
             wafer.is_defective(64)
-
-    def test_defective_core_object_marked(self, small_wafer_config):
-        defects = DefectMap(
-            defective_cores=frozenset({5}), core_yield=0.99, total_cores=64
-        )
-        wafer = Wafer(small_wafer_config, defect_map=defects)
-        assert wafer.core(5).is_defective
-
-
-class TestLazyCores:
-    def test_cores_created_on_demand(self, small_wafer):
-        assert small_wafer.instantiated_cores() == {}
-        core = small_wafer.core(10)
-        assert core.core_id == 10
-        assert list(small_wafer.instantiated_cores()) == [10]
-
-    def test_core_identity_stable(self, small_wafer):
-        assert small_wafer.core(3) is small_wafer.core(3)
-
-    def test_cores_with_role(self, small_wafer):
-        small_wafer.core(1).assign_kv_cache()
-        assert small_wafer.cores_with_role(CoreRole.KV_CACHE) == [1]
-
-    def test_capacities(self, small_wafer):
-        assert small_wafer.sram_bytes == 64 * 4 * 1024 * 1024
-        assert small_wafer.usable_sram_bytes == small_wafer.sram_bytes
-        assert small_wafer.peak_ops_per_second > 0

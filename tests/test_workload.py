@@ -156,16 +156,22 @@ class TestSequenceLifecycle:
     def test_advance_through_phases(self):
         seq = self.make(prefill=2, decode=2)
         seq.start()
-        positions = [seq.advance_token() for _ in range(4)]
-        assert positions == [0, 1, 2, 3]
+        segments = [seq.advance_tokens(1) for _ in range(4)]
+        assert segments == [
+            [(SequencePhase.PREFILL, 1, 0)],
+            [(SequencePhase.PREFILL, 1, 1)],
+            [(SequencePhase.DECODE, 1, 2)],
+            [(SequencePhase.DECODE, 1, 3)],
+        ]
         assert seq.is_complete
 
     def test_advance_after_complete_rejected(self):
         seq = self.make(prefill=1, decode=0)
         seq.start()
-        seq.advance_token()
+        seq.apply_advance(1, 0)
+        assert seq.is_complete
         with pytest.raises(SchedulingError):
-            seq.advance_token()
+            seq.apply_advance(0, 1)
 
     def test_bulk_advance_spans_phases(self):
         seq = self.make(prefill=4, decode=3)
